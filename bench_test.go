@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"emeralds/internal/analysis"
-	"emeralds/internal/core"
 	"emeralds/internal/costmodel"
 	"emeralds/internal/experiments"
 	"emeralds/internal/ipc"
@@ -24,6 +23,7 @@ import (
 	"emeralds/internal/metrics"
 	"emeralds/internal/scenario"
 	"emeralds/internal/schedq"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/vtime"
@@ -281,7 +281,7 @@ func BenchmarkSamplerOverhead(b *testing.B) {
 	const horizon = 100 * vtime.Millisecond
 	run := func(b *testing.B, sample bool) {
 		for i := 0; i < b.N; i++ {
-			sys := core.New(core.Config{Policy: core.PolicyEDF})
+			sys := kernel.NewNode(sim.Config{Policy: sim.PolicyEDF})
 			sys.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 			sys.AddTask(task.Spec{Name: "b", Period: 25 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 			sys.AddTask(task.Spec{Name: "c", Period: 50 * vtime.Millisecond, WCET: 8 * vtime.Millisecond})

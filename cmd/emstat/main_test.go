@@ -10,8 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"emeralds/internal/core"
 	"emeralds/internal/harness"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/vtime"
@@ -24,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the golden file")
 // sparklines and window table.
 func goldenSeries(t *testing.T) *telemetry.Series {
 	t.Helper()
-	sys := core.New(core.Config{Policy: core.PolicyEDF})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyEDF})
 	sys.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 4 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "b", Period: 20 * vtime.Millisecond, WCET: 9 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "c", Period: 50 * vtime.Millisecond, WCET: 16 * vtime.Millisecond})

@@ -7,10 +7,10 @@
 // deterministic discrete-event simulator with a virtual-time cost model
 // calibrated to the paper's 25 MHz Motorola 68040 measurements.
 //
-// Start with internal/core for the public façade, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the paper-versus-measured
-// record of every table and figure. The benchmarks in bench_test.go
-// regenerate each of them:
+// Start with kernel.NewNode, which builds a system from one sim.Config,
+// DESIGN.md for the system inventory, and EXPERIMENTS.md for the
+// paper-versus-measured record of every table and figure. The
+// benchmarks in bench_test.go regenerate each of them:
 //
 //	go test -bench=. -benchmem .
 //

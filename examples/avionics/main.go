@@ -15,9 +15,9 @@ import (
 	"log"
 	"math"
 
-	"emeralds/internal/core"
 	"emeralds/internal/device"
 	"emeralds/internal/fieldbus"
+	"emeralds/internal/kernel"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
@@ -32,7 +32,7 @@ func main() {
 	bus := fieldbus.NewBus(eng, *bitrate)
 
 	// --- actuator node ------------------------------------------------
-	actNode := core.New(core.Config{Engine: eng, Name: "actuator"})
+	actNode := kernel.NewNode(sim.Config{Engine: eng, Name: "actuator"})
 	cmdMbox := actNode.NewMailbox("surface-cmd", 4)
 	servo := &device.Actuator{Name_: "elevator-servo"}
 	servoID := actNode.Kernel().RegisterDevice(servo)
@@ -47,7 +47,7 @@ func main() {
 	})
 
 	// --- control node --------------------------------------------------
-	ctrlNode := core.New(core.Config{Engine: eng, Name: "flight-ctrl"})
+	ctrlNode := kernel.NewNode(sim.Config{Engine: eng, Name: "flight-ctrl"})
 	gyroState := ctrlNode.NewStateMessage("gyro", 3, 8)
 	cmdPort := ctrlNode.Kernel().RegisterBusPort(bus.NewPort("ctrl-tx", 2, fieldbus.Delivery{
 		Node: actNode.Kernel(), Mailbox: cmdMbox,
@@ -68,7 +68,7 @@ func main() {
 	})
 
 	// --- sensor node ----------------------------------------------------
-	sensNode := core.New(core.Config{Engine: eng, Name: "sensors"})
+	sensNode := kernel.NewNode(sim.Config{Engine: eng, Name: "sensors"})
 	gyroLocal := sensNode.NewStateMessage("gyro-local", 3, 8)
 	gyroPort := sensNode.Kernel().RegisterBusPort(bus.NewPort("gyro-tx", 1, fieldbus.Delivery{
 		Node: ctrlNode.Kernel(), State: gyroState, UseState: true,
@@ -97,14 +97,14 @@ func main() {
 		WCET:   2 * vtime.Millisecond,
 	})
 
-	for _, n := range []*core.System{sensNode, ctrlNode, actNode} {
+	for _, n := range []*kernel.Node{sensNode, ctrlNode, actNode} {
 		if err := n.Boot(); err != nil {
 			log.Fatalf("%s: %v", n.Kernel().Name(), err)
 		}
 	}
 	eng.RunUntil(vtime.Time(vtime.Millis(*ms)))
 
-	for _, n := range []*core.System{sensNode, ctrlNode, actNode} {
+	for _, n := range []*kernel.Node{sensNode, ctrlNode, actNode} {
 		fmt.Print(n.Report())
 		fmt.Println()
 	}

@@ -15,15 +15,15 @@ import (
 	"fmt"
 	"log"
 
-	"emeralds/internal/core"
 	"emeralds/internal/device"
 	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
-func build(standard bool) (*core.System, *device.Actuator) {
-	sys := core.New(core.Config{
+func build(standard bool) (*kernel.Node, *device.Actuator) {
+	sys := kernel.NewNode(sim.Config{
 		Name:        "phone",
 		StandardSem: standard,
 	})

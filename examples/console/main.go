@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"log"
 
-	"emeralds/internal/core"
 	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -47,15 +47,15 @@ func keypressTimes() []vtime.Time {
 	return out
 }
 
-func buildBase(name string) *core.System {
-	sys := core.New(core.Config{Name: name})
+func buildBase(name string) *kernel.Node {
+	sys := kernel.NewNode(sim.Config{Name: name})
 	// Hard loops: a 5 ms servo loop and a 25 ms supervisory loop.
 	sys.AddTask(task.Spec{Name: "servo-loop", Period: 5 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "supervisor", Period: 25 * vtime.Millisecond, WCET: 6 * vtime.Millisecond})
 	return sys
 }
 
-func runWithServer() (*core.System, *kernel.PollingServer) {
+func runWithServer() (*kernel.Node, *kernel.PollingServer) {
 	sys := buildBase("console-server")
 	ps := sys.Kernel().NewPollingServer("console-srv", 20*vtime.Millisecond, 3*vtime.Millisecond)
 	for _, at := range keypressTimes() {
@@ -72,8 +72,8 @@ func runWithServer() (*core.System, *kernel.PollingServer) {
 // background run: keypresses release a lowest-priority aperiodic task.
 // Deadline-monotonic assignment puts the handler (1 s deadline) below
 // both hard loops, so it only runs in their gaps.
-func runBackground() (*core.System, *kernel.Thread, *vtime.Duration) {
-	sys := core.New(core.Config{Name: "console-bg", DeadlineMonotonic: true})
+func runBackground() (*kernel.Node, *kernel.Thread, *vtime.Duration) {
+	sys := kernel.NewNode(sim.Config{Name: "console-bg", DeadlineMonotonic: true})
 	sys.AddTask(task.Spec{Name: "servo-loop", Period: 5 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "supervisor", Period: 25 * vtime.Millisecond, WCET: 6 * vtime.Millisecond})
 	k := sys.Kernel()

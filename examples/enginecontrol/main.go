@@ -15,8 +15,9 @@ import (
 	"log"
 	"math"
 
-	"emeralds/internal/core"
 	"emeralds/internal/device"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -26,8 +27,8 @@ func main() {
 	ms := flag.Float64("ms", 2000, "virtual milliseconds to run")
 	flag.Parse()
 
-	sys := core.New(core.Config{
-		Policy: core.Policy(*policy),
+	sys := kernel.NewNode(sim.Config{
+		Policy: *policy,
 		Name:   "ecu",
 	})
 	k := sys.Kernel()

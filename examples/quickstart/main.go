@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"log"
 
-	"emeralds/internal/core"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
 func main() {
 	// A system with tracing on, so we can show the first dispatches.
-	sys := core.New(core.Config{TraceCapacity: 4096, Name: "quickstart", RecordResponses: true})
+	sys := kernel.NewNode(sim.Config{TraceCapacity: 4096, Name: "quickstart", RecordResponses: true})
 
 	// Kernel objects: a mutex guarding a shared object, an event the
 	// producer signals, and a state message carrying the latest value.

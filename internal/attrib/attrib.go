@@ -235,7 +235,7 @@ func (r *replay) setRunning(c int, task string) {
 // activations are missing their releases, so state-machine replay
 // starts mid-flight and every derived number (response, blocking,
 // inversion windows) is suspect. Analyze therefore refuses instead of
-// salvaging; size the ring (core.Config.TraceCapacity / -trace-cap)
+// salvaging; size the ring (sim.Config.TraceCapacity / -trace-cap)
 // for the full horizon and rerun.
 var ErrTruncated = errors.New("attrib: trace ring overflowed; attribution over a truncated window would be wrong — enlarge the trace capacity and rerun")
 

@@ -8,7 +8,8 @@ import (
 	"testing"
 
 	"emeralds/internal/attrib"
-	"emeralds/internal/core"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -57,7 +58,7 @@ func checkExact(t *testing.T, an *attrib.Analysis, label string) (completed int)
 }
 
 // analyzeSystem runs a booted system for d and replays its trace.
-func analyzeSystem(t *testing.T, sys *core.System, d vtime.Duration) *attrib.Analysis {
+func analyzeSystem(t *testing.T, sys *kernel.Node, d vtime.Duration) *attrib.Analysis {
 	t.Helper()
 	if err := sys.Boot(); err != nil {
 		t.Fatalf("boot: %v", err)
@@ -79,16 +80,16 @@ func analyzeSystem(t *testing.T, sys *core.System, d vtime.Duration) *attrib.Ana
 // policies, semaphore schemes, critical sections, delays, events and
 // mailboxes — every completed activation partitions exactly.
 func TestExactnessRandomWorkloads(t *testing.T) {
-	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF, core.PolicyRMHeap}
+	policies := []string{sim.PolicyCSD, sim.PolicyRM, sim.PolicyEDF, sim.PolicyRMHeap}
 	var completed, blocked, preempted, missed int
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := core.Config{
+		cfg := sim.Config{
 			Policy:        policies[seed%int64(len(policies))],
 			StandardSem:   seed%2 == 0,
 			TraceCapacity: 1 << 20,
 		}
-		sys := core.New(cfg)
+		sys := kernel.NewNode(cfg)
 		nSems := 1 + rng.Intn(3)
 		sems := make([]int, nSems)
 		for i := range sems {
@@ -169,7 +170,7 @@ func TestExactnessRandomWorkloads(t *testing.T) {
 // TestBlockedAttributionNamesHolder: a two-task mutex collision must
 // charge the high-priority task's wait to the low-priority holder.
 func TestBlockedAttributionNamesHolder(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 16})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 16})
 	m := sys.NewSemaphore("m")
 	// low locks m at t=0 for 2ms; high releases at 0.5ms and collides.
 	sys.AddTask(task.Spec{Name: "low", Period: 20 * vtime.Millisecond,
@@ -201,7 +202,7 @@ func TestBlockedAttributionNamesHolder(t *testing.T) {
 // TestPreemptedAttributionNamesPreemptor: ready-but-not-running time
 // must be charged to the task occupying the CPU.
 func TestPreemptedAttributionNamesPreemptor(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 16})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 16})
 	sys.AddTask(task.Spec{Name: "hog", Period: 5 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "victim", Period: 20 * vtime.Millisecond, Phase: 100 * vtime.Microsecond,
 		WCET: 4 * vtime.Millisecond})
@@ -230,7 +231,7 @@ func TestPreemptedAttributionNamesPreemptor(t *testing.T) {
 // produce misses, and every miss report must name at least one culprit
 // interval.
 func TestMissRootCause(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 18})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 18})
 	sys.AddTask(task.Spec{Name: "fast", Period: 2 * vtime.Millisecond, WCET: 1200 * vtime.Microsecond})
 	sys.AddTask(task.Spec{Name: "slow", Period: 10 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 	an := analyzeSystem(t, sys, 40*vtime.Millisecond)
@@ -260,7 +261,7 @@ func TestMissRootCause(t *testing.T) {
 // can run while a high-priority task waits — the classic unbounded
 // inversion the detector must flag.
 func TestInversionDetection(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 16})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 16})
 	r := sys.NewCountingSemaphore("r", 2)
 	sys.AddTask(task.Spec{Name: "lo1", Period: 32 * vtime.Millisecond,
 		Prog: task.Program{task.Acquire(r), task.Compute(6 * vtime.Millisecond), task.Release(r)}})
@@ -290,7 +291,7 @@ func TestInversionDetection(t *testing.T) {
 // priority-inheritance mutex must NOT flag inversions — the holder is
 // boosted, so the middle-priority task cannot run during the wait.
 func TestPriorityInheritancePreventsInversion(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 16})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 16})
 	r := sys.NewSemaphore("r")
 	sys.AddTask(task.Spec{Name: "lo", Period: 16 * vtime.Millisecond,
 		Prog: task.Program{task.Acquire(r), task.Compute(6 * vtime.Millisecond), task.Release(r)}})
@@ -311,7 +312,7 @@ func TestPriorityInheritancePreventsInversion(t *testing.T) {
 // trace.
 func TestReportDeterminism(t *testing.T) {
 	render := func() string {
-		sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 1 << 18})
+		sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 1 << 18})
 		m := sys.NewSemaphore("m")
 		sys.AddTask(task.Spec{Name: "a", Period: 4 * vtime.Millisecond,
 			Prog: task.Program{task.Acquire(m), task.Compute(1 * vtime.Millisecond), task.Release(m)}})
@@ -336,7 +337,7 @@ func TestReportDeterminism(t *testing.T) {
 // every release). The ring here is deliberately undersized for the
 // horizon so the overflow is real, not synthesized.
 func TestTruncatedTraceRefused(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyRM, TraceCapacity: 8})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, TraceCapacity: 8})
 	sys.AddTask(task.Spec{Name: "t0", Period: 4 * vtime.Millisecond, WCET: 1 * vtime.Millisecond})
 	if err := sys.Boot(); err != nil {
 		t.Fatalf("boot: %v", err)

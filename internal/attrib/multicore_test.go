@@ -6,7 +6,8 @@ import (
 	"testing"
 
 	"emeralds/internal/attrib"
-	"emeralds/internal/core"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -16,12 +17,12 @@ import (
 // migrations injected mid-run, must still partition every completed
 // activation exactly — including the new migration component.
 func TestExactnessMulticore(t *testing.T) {
-	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF}
+	policies := []string{sim.PolicyCSD, sim.PolicyRM, sim.PolicyEDF}
 	var completed, migratedActs int
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cpus := 2 + 2*int(seed%2) // 2 or 4
-		sys := core.New(core.Config{
+		sys := kernel.NewNode(sim.Config{
 			Policy:        policies[seed%int64(len(policies))],
 			CPUs:          cpus,
 			TraceCapacity: 1 << 20,
@@ -99,7 +100,7 @@ func TestExactnessMulticore(t *testing.T) {
 // that migrated carry a "migration" entry, tasks that never did omit
 // it (keeping single-CPU reports byte-stable).
 func TestMigrationComponentInReport(t *testing.T) {
-	sys := core.New(core.Config{Policy: core.PolicyEDF, CPUs: 2, TraceCapacity: 1 << 18})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyEDF, CPUs: 2, TraceCapacity: 1 << 18})
 	// Two compute segments so a mid-job migration has a boundary to
 	// defer to that is not also the job's end.
 	sys.AddTask(task.Spec{Name: "mover", Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond,

@@ -5,23 +5,19 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/kernel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
-func newKernel(t *testing.T) *kernel.Kernel {
-	t.Helper()
-	prof := costmodel.Zero()
-	k, err := kernel.New(nil, kernel.Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+// newNode builds the single-CPU EDF node the device tests drive.
+func newNode() *kernel.Node {
+	return kernel.NewNode(sim.Config{Policy: sim.PolicyEDF, Profile: costmodel.Zero(), StandardSem: true})
 }
 
 func TestSensorSamplesPeriodically(t *testing.T) {
-	k := newKernel(t)
+	n := newNode()
+	k := n.Kernel()
 	sm := k.NewStateMessage("sig", 3, 8)
 	s := &Sensor{
 		Name_:   "gyro",
@@ -30,7 +26,7 @@ func TestSensorSamplesPeriodically(t *testing.T) {
 		Signal:  func(tm vtime.Time) int64 { return int64(tm) / int64(vtime.Millisecond) },
 	}
 	s.Start(k)
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(20 * vtime.Millisecond)
@@ -43,12 +39,13 @@ func TestSensorSamplesPeriodically(t *testing.T) {
 }
 
 func TestSensorStop(t *testing.T) {
-	k := newKernel(t)
+	n := newNode()
+	k := n.Kernel()
 	sm := k.NewStateMessage("sig", 3, 8)
 	s := &Sensor{Name_: "g", Period: vtime.Millisecond, StateID: sm,
 		Signal: func(vtime.Time) int64 { return 1 }}
 	s.Start(k)
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(5 * vtime.Millisecond)
@@ -60,12 +57,13 @@ func TestSensorStop(t *testing.T) {
 }
 
 func TestMailboxSensorDeliversAndDrops(t *testing.T) {
-	k := newKernel(t)
+	n := newNode()
+	k := n.Kernel()
 	mb := k.NewMailbox("frames", 2)
 	s := &MailboxSensor{Name_: "mic", Period: vtime.Millisecond, MboxID: mb, Size: 8,
 		Signal: func(vtime.Time) int64 { return 7 }}
 	s.Start(k)
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	// Nobody consumes: the 2-slot mailbox fills, further samples drop.
@@ -79,13 +77,14 @@ func TestMailboxSensorDeliversAndDrops(t *testing.T) {
 }
 
 func TestActuatorRecordsTimeline(t *testing.T) {
-	k := newKernel(t)
+	n := newNode()
+	k := n.Kernel()
 	act := &Actuator{Name_: "servo"}
 	id := k.RegisterDevice(act)
 	sm := k.NewStateMessage("cmd", 3, 8)
 	k.AddTask(task.Spec{Period: 5 * vtime.Millisecond,
 		Prog: task.Program{task.StateRead(sm), task.IO(id)}})
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	k.StateWriteISR(sm, 88)
@@ -105,12 +104,13 @@ func TestActuatorRecordsTimeline(t *testing.T) {
 }
 
 func TestRegisterDeliversValue(t *testing.T) {
-	k := newKernel(t)
+	n := newNode()
+	k := n.Kernel()
 	reg := &Register{Name_: "adc", Value: func(tm vtime.Time) int64 { return 500 }}
 	id := k.RegisterDevice(reg)
 	th := k.AddTask(task.Spec{Period: 5 * vtime.Millisecond,
 		Prog: task.Program{task.IO(id)}})
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(12 * vtime.Millisecond)

@@ -100,14 +100,26 @@ func (s *StateMessage) Write(val int64) {
 }
 
 // Read returns the freshest published value (the leading word of the
-// payload) and false if nothing has been published yet.
+// payload) and false if nothing has been published yet. Like Write it
+// is the atomic form the kernel uses: no writer can run mid-copy, so
+// the read is always consistent.
 func (s *StateMessage) Read() (int64, bool) {
-	r, ok := s.BeginRead()
-	if !ok {
+	v, ok := s.Peek()
+	if ok {
+		s.reads++
+		s.met.Inc(metrics.StateReads)
+	}
+	return v, ok
+}
+
+// Peek is Read without counting the read, for observers outside the
+// simulation whose look must not move the counters they report.
+func (s *StateMessage) Peek() (int64, bool) {
+	if s.published == ^uint64(0) {
 		return 0, false
 	}
-	buf, _ := r.Finish()
-	return int64(binary.LittleEndian.Uint64(buf[:8])), true
+	slot := s.slots[s.published%uint64(len(s.slots))]
+	return int64(binary.LittleEndian.Uint64(slot[:8])), true
 }
 
 // --- step API for adversarial interleaving tests -------------------

@@ -5,46 +5,29 @@ import (
 	"strings"
 	"testing"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/metrics"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
-func newMulticore(t *testing.T, m int, regime LockRegime) *Kernel {
-	t.Helper()
-	prof := costmodel.M68040()
-	ss := make([]sched.Scheduler, m)
-	for i := range ss {
-		ss[i] = sched.NewEDF(prof)
-	}
-	k, err := New(nil, Options{
-		Profile:      prof,
-		CPUs:         m,
-		Scheduler:    ss[0],
-		Schedulers:   ss,
-		LockRegime:   regime,
-		OptimizedSem: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+// newMulticore builds an M-CPU EDF node under the given lock regime.
+func newMulticore(m int, regime LockRegime) (*Node, *Kernel) {
+	return newNode(sim.Config{Policy: sim.PolicyEDF, CPUs: m, Lock: regime.String()})
 }
 
 // TestMulticorePartitionAndRun boots two CPUs and checks the task set
 // is split (affinity honored), both CPUs make progress, and merged
 // metrics agree with the per-CPU shards.
 func TestMulticorePartitionAndRun(t *testing.T) {
-	k := newMulticore(t, 2, LockPerCPU)
+	n, k := newMulticore(2, LockPerCPU)
 	a := k.AddTask(task.Spec{Name: "a", Period: 5 * vtime.Millisecond, Affinity: 1, Prog: task.Program{
 		task.Compute(vtime.Millisecond)}})
 	b := k.AddTask(task.Spec{Name: "b", Period: 5 * vtime.Millisecond, Affinity: 2, Prog: task.Program{
 		task.Compute(vtime.Millisecond)}})
 	c := k.AddTask(task.Spec{Name: "c", Period: 7 * vtime.Millisecond, Prog: task.Program{
 		task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	if a.TCB.CPU != 0 || b.TCB.CPU != 1 {
 		t.Fatalf("affinity ignored: a on cpu%d, b on cpu%d", a.TCB.CPU, b.TCB.CPU)
 	}
@@ -73,7 +56,7 @@ func TestMulticorePartitionAndRun(t *testing.T) {
 // finishes its job on the target CPU. Migrating the holder instead must
 // be refused.
 func TestMigrateWhileBlockedOnSemaphore(t *testing.T) {
-	k := newMulticore(t, 2, LockPerCPU)
+	n, k := newMulticore(2, LockPerCPU)
 	sem := k.NewSemaphore("m")
 	holder := k.AddTask(task.Spec{Name: "holder", Period: 50 * vtime.Millisecond, Affinity: 1, Prog: task.Program{
 		task.Acquire(sem),
@@ -86,7 +69,7 @@ func TestMigrateWhileBlockedOnSemaphore(t *testing.T) {
 			task.Compute(vtime.Millisecond),
 			task.Release(sem),
 		}})
-	boot(t, k)
+	boot(t, n)
 	// At t=2ms: holder (released at 0, deadline 50ms) owns the
 	// semaphore; waiter (released at 1ms, deadline 11ms, so EDF
 	// preempted holder) has run Acquire and blocked.
@@ -127,11 +110,11 @@ func TestMigrateWhileBlockedOnSemaphore(t *testing.T) {
 // end (as a deadline miss) at that boundary: the teardown must cancel
 // the pending request, leaving the task resident and consistent.
 func TestDeferredMigrationCancelledByTeardown(t *testing.T) {
-	k := newMulticore(t, 2, LockPerCPU)
+	n, k := newMulticore(2, LockPerCPU)
 	// 5ms of compute against a 3ms deadline: every completion is a miss.
 	late := k.AddTask(task.Spec{Name: "late", Period: 20 * vtime.Millisecond, Deadline: 3 * vtime.Millisecond,
 		Affinity: 1, Prog: task.Program{task.Compute(5 * vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(0).Add(vtime.Millisecond), "test:migrate", func() {
 		if err := k.Migrate(late, 1); err != nil {
 			t.Fatalf("mid-segment migrate: %v", err)
@@ -163,7 +146,7 @@ func TestDeferredMigrationCancelledByTeardown(t *testing.T) {
 // it stays put: Migrate refuses, and the kernel never moves it on its
 // own.
 func TestPinnedTaskNeverMigrates(t *testing.T) {
-	k := newMulticore(t, 2, LockPerCPU)
+	n, k := newMulticore(2, LockPerCPU)
 	pinned := k.AddTask(task.Spec{Name: "pinned", Period: 10 * vtime.Millisecond, Affinity: 1, Pinned: true,
 		Prog: task.Program{task.Compute(2 * vtime.Millisecond)}})
 	// Overload CPU 0 so a load balancer would want to move "pinned".
@@ -171,7 +154,7 @@ func TestPinnedTaskNeverMigrates(t *testing.T) {
 		Prog: task.Program{task.Compute(9 * vtime.Millisecond)}})
 	k.AddTask(task.Spec{Name: "idlecpu", Period: 100 * vtime.Millisecond, Affinity: 2,
 		Prog: task.Program{task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	if err := k.Migrate(pinned, 1); err == nil || !strings.Contains(err.Error(), "pinned") {
 		t.Errorf("Migrate(pinned) = %v, want pinned error", err)
 	}
@@ -189,17 +172,17 @@ func TestPinnedTaskNeverMigrates(t *testing.T) {
 
 // TestMigrateArgumentErrors covers the remaining refusals.
 func TestMigrateArgumentErrors(t *testing.T) {
-	single := newEDFKernel(t, nil)
+	sn, single := newEDFNode(nil)
 	th := single.AddTask(task.Spec{Name: "t", Period: vtime.Millisecond, Prog: task.Program{task.Compute(vtime.Microsecond)}})
-	boot(t, single)
+	boot(t, sn)
 	if err := single.Migrate(th, 0); err == nil {
 		t.Error("Migrate on a single-CPU kernel must fail")
 	}
 
-	k := newMulticore(t, 2, LockPerCPU)
+	n, k := newMulticore(2, LockPerCPU)
 	a := k.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, Affinity: 1,
 		Prog: task.Program{task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	if err := k.Migrate(a, 2); err == nil {
 		t.Error("Migrate out of range must fail")
 	}
@@ -217,13 +200,13 @@ func TestMigrateArgumentErrors(t *testing.T) {
 // completions) is identical.
 func TestLockRegimeOrdering(t *testing.T) {
 	run := func(r LockRegime) (Stats, uint64) {
-		k := newMulticore(t, 2, r)
+		n, k := newMulticore(2, r)
 		sem := k.NewSemaphore("m")
 		k.AddTask(task.Spec{Name: "a", Period: 5 * vtime.Millisecond, Affinity: 1, Prog: task.Program{
 			task.Acquire(sem), task.Compute(vtime.Millisecond), task.Release(sem)}})
 		k.AddTask(task.Spec{Name: "b", Period: 7 * vtime.Millisecond, Affinity: 2, Prog: task.Program{
 			task.Acquire(sem), task.Compute(vtime.Millisecond), task.Release(sem)}})
-		boot(t, k)
+		boot(t, n)
 		k.Run(500 * vtime.Millisecond)
 		return k.Stats(), k.Metrics().Get(metrics.LockContentions)
 	}
@@ -255,7 +238,7 @@ func TestLockRegimeOrdering(t *testing.T) {
 // merge must not depend on map order, timing, or GOMAXPROCS.
 func TestShardMergeDeterministic(t *testing.T) {
 	run := func() []byte {
-		k := newMulticore(t, 4, LockPerQueue)
+		n, k := newMulticore(4, LockPerQueue)
 		sem := k.NewSemaphore("m")
 		for _, s := range []task.Spec{
 			{Name: "a", Period: 5 * vtime.Millisecond, Prog: task.Program{task.Acquire(sem), task.Compute(vtime.Millisecond), task.Release(sem)}},
@@ -265,7 +248,7 @@ func TestShardMergeDeterministic(t *testing.T) {
 		} {
 			k.AddTask(s)
 		}
-		boot(t, k)
+		boot(t, n)
 		k.Run(200 * vtime.Millisecond)
 		b, err := json.Marshal(k.Diagnostics())
 		if err != nil {

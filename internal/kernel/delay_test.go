@@ -4,20 +4,20 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
 func TestDelayOp(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	th := k.AddTask(task.Spec{Name: "sleepy", Period: 20 * vtime.Millisecond, Prog: task.Program{
 		task.Compute(vtime.Millisecond),
 		task.Delay(5 * vtime.Millisecond),
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(60 * vtime.Millisecond)
 	if th.TCB.Completions != 3 {
 		t.Errorf("completions = %d", th.TCB.Completions)
@@ -30,13 +30,13 @@ func TestDelayOp(t *testing.T) {
 
 func TestDelayYieldsCPU(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sleeper := k.AddTask(task.Spec{Name: "sleeper", Period: 20 * vtime.Millisecond, Prog: task.Program{
 		task.Delay(10 * vtime.Millisecond),
 	}})
 	worker := k.AddTask(task.Spec{Name: "worker", Period: 20 * vtime.Millisecond,
 		WCET: 8 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(40 * vtime.Millisecond)
 	// The worker (later deadline? same period — tie by id; sleeper runs
 	// first, blocks immediately, worker gets the CPU during the delay.
@@ -53,7 +53,7 @@ func TestDelayYieldsCPU(t *testing.T) {
 // performs PI without a context switch.
 func TestDelayHintSavesSwitch(t *testing.T) {
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	sem := k.NewSemaphore("S")
 	d := task.Delay(2 * vtime.Millisecond)
 	d.Hint = sem // as the parser would insert
@@ -68,7 +68,7 @@ func TestDelayHintSavesSwitch(t *testing.T) {
 		task.Compute(4 * vtime.Millisecond), // holds S across T2's timeout
 		task.Release(sem),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if k.Stats().SavedSwitches == 0 {
 		t.Error("delay hint saved nothing")
@@ -80,10 +80,10 @@ func TestDelayHintSavesSwitch(t *testing.T) {
 
 func TestSuspendResume(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	th := k.AddTask(task.Spec{Name: "victim", Period: 10 * vtime.Millisecond,
 		WCET: 8 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(2*vtime.Millisecond), "suspend", func() { k.Suspend(th) })
 	k.Engine().At(vtime.Time(35*vtime.Millisecond), "resume", func() { k.Resume(th) })
 	k.Run(100 * vtime.Millisecond)
@@ -109,13 +109,13 @@ func TestSuspendResume(t *testing.T) {
 
 func TestSuspendAbsorbsWakeups(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	ev := k.NewEvent("E")
 	th := k.AddTask(task.Spec{Name: "waiter", Period: 50 * vtime.Millisecond, Prog: task.Program{
 		task.WaitEvent(ev),
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(1*vtime.Millisecond), "suspend", func() { k.Suspend(th) })
 	k.Engine().At(vtime.Time(2*vtime.Millisecond), "signal", func() { k.SignalEventISR(ev) })
 	k.Engine().At(vtime.Time(10*vtime.Millisecond), "resume", func() { k.Resume(th) })

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -15,9 +15,10 @@ import (
 func TestDeadlineMonotonicAssignment(t *testing.T) {
 	prof := costmodel.Zero()
 	run := func(dm bool) (uint64, uint64) {
-		k, _ := New(nil, Options{
+		n, k := newNode(sim.Config{
+			Policy:            sim.PolicyRM,
 			Profile:           prof,
-			Scheduler:         sched.NewRM(prof),
+			StandardSem:       true,
 			DeadlineMonotonic: dm,
 		})
 		short := k.AddTask(task.Spec{
@@ -27,7 +28,7 @@ func TestDeadlineMonotonicAssignment(t *testing.T) {
 			Name: "tight-deadline", Period: 50 * vtime.Millisecond,
 			WCET: 3 * vtime.Millisecond, Deadline: 4 * vtime.Millisecond,
 		})
-		boot(t, k)
+		boot(t, n)
 		k.Run(200 * vtime.Millisecond)
 		return tight.TCB.Misses, short.TCB.Misses
 	}
@@ -52,10 +53,9 @@ func TestDeadlineMonotonicAssignment(t *testing.T) {
 func TestAblationKnobs(t *testing.T) {
 	prof := costmodel.M68040()
 	run := func(disableHints, disablePlaceholder bool) Stats {
-		k, _ := New(nil, Options{
+		n, k := newNode(sim.Config{
+			Policy:             sim.PolicyRM,
 			Profile:            prof,
-			Scheduler:          sched.NewRM(prof),
-			OptimizedSem:       true,
 			DisableHints:       disableHints,
 			DisablePlaceholder: disablePlaceholder,
 		})
@@ -76,7 +76,7 @@ func TestAblationKnobs(t *testing.T) {
 			task.Compute(vtime.Millisecond),
 			task.Release(sem),
 		}})
-		boot(t, k)
+		boot(t, n)
 		k.Run(200 * vtime.Millisecond)
 		return k.Stats()
 	}
@@ -102,14 +102,15 @@ func TestAblationKnobs(t *testing.T) {
 // accepted.
 func TestRAMBudgetGatesBoot(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{
-		Profile:   prof,
-		Scheduler: sched.NewEDF(prof),
-		RAMBudget: 1024, // one TCB + stack already costs 608 bytes
+	n, k := newNode(sim.Config{
+		Policy:      sim.PolicyEDF,
+		Profile:     prof,
+		StandardSem: true,
+		RAMBudget:   1024, // one TCB + stack already costs 608 bytes
 	})
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
-	if err := k.Boot(); err == nil {
+	if err := n.Boot(); err == nil {
 		t.Error("over-budget configuration booted")
 	}
 }
@@ -118,7 +119,7 @@ func TestRAMBudgetGatesBoot(t *testing.T) {
 // accountant.
 func TestRAMAccountingTracksObjects(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), RAMBudget: 64 * 1024})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true, RAMBudget: 64 * 1024})
 	before := k.RAM().Used()
 	k.NewSemaphore("s")
 	k.NewEvent("e")
@@ -129,7 +130,7 @@ func TestRAMAccountingTracksObjects(t *testing.T) {
 	if k.RAM().Used() <= before {
 		t.Error("objects not accounted")
 	}
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatalf("64 KB should fit a small system: %v", err)
 	}
 }

@@ -217,7 +217,6 @@ func (k *Kernel) preemptSegment(detail string) bool {
 		s.th.TCB.OpRemaining = s.pure - useful
 	}
 	s.th.TCB.Preemptions++
-	k.stats.Preemptions++
 	k.exec.met.Inc(metrics.Preemptions)
 	k.eng.Cancel(s.ev)
 	c.seg = nil
@@ -329,7 +328,6 @@ func (k *Kernel) resched() {
 		k.trAdd(traceKindIdle, "-", "")
 		return
 	}
-	k.stats.ContextSwitches++
 	c.met.Inc(metrics.Dispatches)
 	if curTCB != nil {
 		c.met.Inc(metrics.ContextSwitches)
@@ -509,11 +507,9 @@ func (k *Kernel) completeJob(th *Thread) {
 		k.ensureHists(th)
 		th.respHist.Add(resp)
 	}
-	k.stats.Completions++
 	k.exec.met.Inc(metrics.Completions)
 	if now.After(tcb.AbsDeadline) {
 		tcb.Misses++
-		k.stats.Misses++
 		k.exec.met.Inc(metrics.DeadlineMisses)
 		k.trAddDur(traceKindMiss, tcb.Name, "", k.exec.ovAcc)
 	} else {
@@ -541,8 +537,6 @@ func (k *Kernel) onRelease(th *Thread) {
 		// Suspended tasks lose their releases (taskSuspend semantics);
 		// each lost job is an overrun and a guaranteed miss.
 		th.TCB.Misses++
-		k.stats.Overruns++
-		k.stats.Misses++
 		k.exec.met.Inc(metrics.Overruns)
 		k.exec.met.Inc(metrics.DeadlineMisses)
 		k.trAdd(traceKindOverrun, th.TCB.Name, "suspended")
@@ -553,8 +547,6 @@ func (k *Kernel) onRelease(th *Thread) {
 		// lost (the job in flight continues); its lateness is counted
 		// at completion.
 		th.TCB.Misses++ // the lost job can never meet its deadline
-		k.stats.Overruns++
-		k.stats.Misses++
 		k.exec.met.Inc(metrics.Overruns)
 		k.exec.met.Inc(metrics.DeadlineMisses)
 		k.trAdd(traceKindOverrun, th.TCB.Name, "")
@@ -569,7 +561,6 @@ func (k *Kernel) onRelease(th *Thread) {
 func (k *Kernel) ReleaseAperiodic(th *Thread) {
 	k.exec = k.cpuOf(th)
 	if th.jobActive {
-		k.stats.Overruns++
 		k.exec.met.Inc(metrics.Overruns)
 		return
 	}
@@ -583,7 +574,6 @@ func (k *Kernel) startJob(th *Thread) {
 		tcb.Spec.Prog = th.beforeJob()
 	}
 	tcb.Releases++
-	k.stats.Releases++
 	k.exec.met.Inc(metrics.Releases)
 	tcb.ReleasedAt = now
 	tcb.AbsDeadline = now.Add(tcb.Spec.RelDeadline())

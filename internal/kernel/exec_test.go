@@ -5,46 +5,48 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
-func newEDFKernel(t *testing.T, prof *costmodel.Profile) *Kernel {
-	t.Helper()
+// newNode builds a node from cfg and returns it with its kernel. The
+// tests add tasks on the kernel directly, so programs skip the parser
+// pass and keep any hints placed by hand.
+func newNode(cfg sim.Config) (*Node, *Kernel) {
+	n := NewNode(cfg)
+	return n, n.Kernel()
+}
+
+// newEDFNode builds an EDF node with the optimized semaphore scheme;
+// a nil prof means the zero-cost profile.
+func newEDFNode(prof *costmodel.Profile) (*Node, *Kernel) {
 	if prof == nil {
 		prof = costmodel.Zero()
 	}
-	k, err := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
 }
 
-func newRMKernel(t *testing.T, prof *costmodel.Profile, optimized bool) *Kernel {
-	t.Helper()
+// newRMNode builds an RM node; a nil prof means the zero-cost profile.
+func newRMNode(prof *costmodel.Profile, optimized bool) (*Node, *Kernel) {
 	if prof == nil {
 		prof = costmodel.Zero()
 	}
-	k, err := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: optimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: !optimized})
 }
 
-func boot(t *testing.T, k *Kernel) {
+func boot(t *testing.T, n *Node) {
 	t.Helper()
-	if err := k.Boot(); err != nil {
+	if err := n.Boot(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPeriodicExecutionExactTimes(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	th := k.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	tcb := th.TCB
 	if tcb.Releases != 11 { // t = 0, 10, …, 100 inclusive
@@ -63,13 +65,13 @@ func TestPeriodicExecutionExactTimes(t *testing.T) {
 }
 
 func TestPhaseDelaysFirstRelease(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	th := k.AddTask(task.Spec{
 		Period: 10 * vtime.Millisecond,
 		WCET:   vtime.Millisecond,
 		Phase:  7 * vtime.Millisecond,
 	})
-	boot(t, k)
+	boot(t, n)
 	k.Run(20 * vtime.Millisecond)
 	if th.TCB.Releases != 2 { // at 7 ms and 17 ms
 		t.Errorf("releases = %d", th.TCB.Releases)
@@ -77,13 +79,13 @@ func TestPhaseDelaysFirstRelease(t *testing.T) {
 }
 
 func TestPreemptionByShorterDeadline(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	long := k.AddTask(task.Spec{Name: "long", Period: 100 * vtime.Millisecond, WCET: 20 * vtime.Millisecond})
 	short := k.AddTask(task.Spec{
 		Name: "short", Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond,
 		Phase: 5 * vtime.Millisecond,
 	})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if short.TCB.Misses != 0 {
 		t.Errorf("short missed %d deadlines", short.TCB.Misses)
@@ -101,10 +103,10 @@ func TestPreemptionByShorterDeadline(t *testing.T) {
 }
 
 func TestUtilizationOneMeetsAllDeadlinesUnderEDF(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 	k.AddTask(task.Spec{Period: 20 * vtime.Millisecond, WCET: 10 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(200 * vtime.Millisecond)
 	st := k.Stats()
 	if st.Misses != 0 {
@@ -117,10 +119,10 @@ func TestUtilizationOneMeetsAllDeadlinesUnderEDF(t *testing.T) {
 }
 
 func TestOverloadCountsMissesAndOverruns(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: 8 * vtime.Millisecond})
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: 8 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.Misses == 0 {
@@ -132,13 +134,13 @@ func TestOverloadCountsMissesAndOverruns(t *testing.T) {
 }
 
 func TestDeadlineShorterThanPeriod(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	// Response is 5 ms; a 4 ms deadline must miss, a 6 ms one must not.
 	tight := k.AddTask(task.Spec{
 		Name: "tight", Period: 20 * vtime.Millisecond, WCET: 5 * vtime.Millisecond,
 		Deadline: 4 * vtime.Millisecond,
 	})
-	boot(t, k)
+	boot(t, n)
 	k.Run(40 * vtime.Millisecond)
 	if tight.TCB.Misses != tight.TCB.Completions {
 		t.Errorf("tight: %d misses of %d jobs", tight.TCB.Misses, tight.TCB.Completions)
@@ -147,9 +149,9 @@ func TestDeadlineShorterThanPeriod(t *testing.T) {
 
 func TestSchedulerOverheadChargedAgainstRunningTask(t *testing.T) {
 	prof := costmodel.M68040()
-	k := newEDFKernel(t, prof)
+	n, k := newEDFNode(prof)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.SchedCharge == 0 || st.TimerCharge == 0 || st.SwitchCharge == 0 {
@@ -163,12 +165,12 @@ func TestSchedulerOverheadChargedAgainstRunningTask(t *testing.T) {
 }
 
 func TestAperiodicRelease(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	ap := k.AddTask(task.Spec{
 		Name: "ap", Period: 0, Deadline: 5 * vtime.Millisecond,
 		Prog: task.Program{task.Compute(vtime.Millisecond)},
 	})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(3*vtime.Millisecond), "fire", func() { k.ReleaseAperiodic(ap) })
 	k.Engine().At(vtime.Time(30*vtime.Millisecond), "fire", func() { k.ReleaseAperiodic(ap) })
 	k.Run(50 * vtime.Millisecond)
@@ -181,9 +183,9 @@ func TestAperiodicRelease(t *testing.T) {
 }
 
 func TestAperiodicDoubleReleaseIsOverrun(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	ap := k.AddTask(task.Spec{Period: 0, Prog: task.Program{task.Compute(10 * vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(1, "fire", func() { k.ReleaseAperiodic(ap) })
 	k.Engine().At(2, "fire", func() { k.ReleaseAperiodic(ap) })
 	k.Run(50 * vtime.Millisecond)
@@ -194,12 +196,8 @@ func TestAperiodicDoubleReleaseIsOverrun(t *testing.T) {
 
 func TestDeterministicTraces(t *testing.T) {
 	run := func() []trace.Event {
-		tr := trace.New(1 << 14)
 		prof := costmodel.M68040()
-		k, err := New(nil, Options{Profile: prof, Scheduler: sched.NewCSD(prof, sched.Partition{DPSizes: []int{2}}), Trace: tr, OptimizedSem: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		n, k := newNode(sim.Config{Policy: sim.PolicyCSD, DPSizes: []int{2}, Profile: prof, TraceCapacity: 1 << 14})
 		sem := k.NewSemaphore("s")
 		for i, p := range []float64{5, 7, 11, 23} {
 			prog := task.Program{
@@ -210,9 +208,9 @@ func TestDeterministicTraces(t *testing.T) {
 			}
 			k.AddTask(task.Spec{Period: vtime.Millis(p), Prog: prog})
 		}
-		boot(t, k)
+		boot(t, n)
 		k.Run(200 * vtime.Millisecond)
-		return tr.Events()
+		return k.Trace().Events()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -226,25 +224,22 @@ func TestDeterministicTraces(t *testing.T) {
 }
 
 func TestBootErrors(t *testing.T) {
-	k, err := New(nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Boot(); err == nil {
+	_, k := newNode(sim.Config{})
+	if err := k.boot(); err == nil {
 		t.Error("boot without scheduler succeeded")
 	}
-	k.SetScheduler(sched.NewEDF(costmodel.Zero()))
-	if err := k.Boot(); err != nil {
+	k.setSchedulers(sched.NewEDF(k.Profile()))
+	if err := k.boot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Boot(); err == nil {
+	if err := k.boot(); err == nil {
 		t.Error("double boot succeeded")
 	}
 }
 
 func TestAddTaskAfterBootPanics(t *testing.T) {
-	k := newEDFKernel(t, nil)
-	boot(t, k)
+	n, k := newEDFNode(nil)
+	boot(t, n)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -255,14 +250,11 @@ func TestAddTaskAfterBootPanics(t *testing.T) {
 
 func TestCSDKernelAppliesPartition(t *testing.T) {
 	prof := costmodel.Zero()
-	k, err := New(nil, Options{Profile: prof, Scheduler: sched.NewCSD(prof, sched.Partition{DPSizes: []int{2}})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, k := newNode(sim.Config{Policy: sim.PolicyCSD, DPSizes: []int{2}, Profile: prof, StandardSem: true})
 	a := k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
 	b := k.AddTask(task.Spec{Period: 5 * vtime.Millisecond, WCET: vtime.Millisecond})
 	c := k.AddTask(task.Spec{Period: 50 * vtime.Millisecond, WCET: vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	// RM order: b, a, c → DP={b,a}, FP={c}.
 	if b.TCB.CSDQueue != 0 || a.TCB.CSDQueue != 0 || c.TCB.CSDQueue != 1 {
 		t.Errorf("queues: a=%d b=%d c=%d", a.TCB.CSDQueue, b.TCB.CSDQueue, c.TCB.CSDQueue)
@@ -274,9 +266,9 @@ func TestCSDKernelAppliesPartition(t *testing.T) {
 }
 
 func TestIdleAccounting(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.UsefulCompute != 10*vtime.Millisecond {
@@ -287,10 +279,10 @@ func TestIdleAccounting(t *testing.T) {
 func TestExactBoundaryPreemptionCompletesJob(t *testing.T) {
 	// τ0's job ends exactly when τ1 is released (zero-cost profile):
 	// the boundary must complete τ0's job, not restart its last op.
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	a := k.AddTask(task.Spec{Name: "a", Period: 4 * vtime.Millisecond, WCET: vtime.Millisecond})
 	b := k.AddTask(task.Spec{Name: "b", Period: 8 * vtime.Millisecond, WCET: 3 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(80 * vtime.Millisecond)
 	// U = 0.25 + 0.375: everything fits exactly; b's job spans release
 	// boundaries of a.
@@ -306,9 +298,9 @@ func TestExactBoundaryPreemptionCompletesJob(t *testing.T) {
 }
 
 func TestRunUntilAndNow(t *testing.T) {
-	k := newEDFKernel(t, nil)
+	n, k := newEDFNode(nil)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.RunUntil(vtime.Time(25 * vtime.Millisecond))
 	if k.Now() != vtime.Time(25*vtime.Millisecond) {
 		t.Errorf("now = %v", k.Now())

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -27,11 +27,12 @@ func deadlockProg(first, second int, hold vtime.Duration) task.Program {
 // acquire raises the holder to both locks' ceiling — nobody who uses
 // either lock can run until it finishes.
 func TestICPPPreventsDeadlock(t *testing.T) {
-	build := func(icpp bool) *Kernel {
+	build := func(icpp bool) (*Node, *Kernel) {
 		prof := costmodel.Zero()
-		k, _ := New(nil, Options{
+		n, k := newNode(sim.Config{
+			Policy:          sim.PolicyRM,
 			Profile:         prof,
-			Scheduler:       sched.NewRM(prof),
+			StandardSem:     true,
 			PriorityCeiling: icpp,
 		})
 		a := k.NewSemaphore("A")
@@ -45,18 +46,18 @@ func TestICPPPreventsDeadlock(t *testing.T) {
 			Prog: deadlockProg(a, b, vtime.Millisecond)})
 		k.AddTask(task.Spec{Name: "ba", Period: 15 * vtime.Millisecond, Phase: 500 * vtime.Microsecond,
 			Prog: deadlockProg(b, a, vtime.Millisecond)})
-		return k
+		return n, k
 	}
 
-	pi := build(false)
-	boot(t, pi)
+	piN, pi := build(false)
+	boot(t, piN)
 	pi.Run(200 * vtime.Millisecond)
 	if pi.Stats().Completions > 2 {
 		t.Fatalf("PI build completed %d jobs — the scenario no longer deadlocks and proves nothing", pi.Stats().Completions)
 	}
 
-	icpp := build(true)
-	boot(t, icpp)
+	icppN, icpp := build(true)
+	boot(t, icppN)
 	icpp.Run(200 * vtime.Millisecond)
 	st := icpp.Stats()
 	if st.Completions < 16 {
@@ -70,7 +71,7 @@ func TestICPPPreventsDeadlock(t *testing.T) {
 // TestICPPCeilingsComputedFromPrograms.
 func TestICPPCeilingsComputedFromPrograms(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), PriorityCeiling: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true, PriorityCeiling: true})
 	shared := k.NewSemaphore("shared")
 	private := k.NewSemaphore("lo-only")
 	cv := k.NewCondVar("cv")
@@ -88,7 +89,7 @@ func TestICPPCeilingsComputedFromPrograms(t *testing.T) {
 		task.CondSignal(cv),
 		task.Release(shared),
 	}})
-	boot(t, k)
+	boot(t, n)
 	// shared is used by hi (prio 0): ceiling 0. private only by lo
 	// (prio 2): ceiling 2.
 	if got := k.SemCeiling(shared); got != 0 {
@@ -103,7 +104,7 @@ func TestICPPCeilingsComputedFromPrograms(t *testing.T) {
 // critical section and returns to base priority at release.
 func TestICPPBoostAndRestore(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), PriorityCeiling: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true, PriorityCeiling: true})
 	sem := k.NewSemaphore("m")
 	// hi uses the lock briefly; mid never uses it; lo holds it long.
 	hi := k.AddTask(task.Spec{Name: "hi", Period: 20 * vtime.Millisecond, Phase: 2 * vtime.Millisecond,
@@ -112,7 +113,7 @@ func TestICPPBoostAndRestore(t *testing.T) {
 		WCET: 5 * vtime.Millisecond})
 	k.AddTask(task.Spec{Name: "lo", Period: 60 * vtime.Millisecond,
 		Prog: critProg(sem, 0, 4*vtime.Millisecond)})
-	boot(t, k)
+	boot(t, n)
 	k.Run(60 * vtime.Millisecond)
 	// With ICPP, lo is boosted to hi's priority from the instant it
 	// locks m (t=0): mid (released at 1 ms) cannot preempt the critical
@@ -139,11 +140,11 @@ func TestICPPBoostAndRestore(t *testing.T) {
 func TestICPPSingleBlockingBound(t *testing.T) {
 	prof := costmodel.Zero()
 	run := func(icpp bool) vtime.Duration {
-		k, _ := New(nil, Options{
+		n, k := newNode(sim.Config{
+			Policy:          sim.PolicyRM,
 			Profile:         prof,
-			Scheduler:       sched.NewRM(prof),
+			StandardSem:     icpp,
 			PriorityCeiling: icpp,
-			OptimizedSem:    !icpp,
 		})
 		a := k.NewSemaphore("A")
 		b := k.NewSemaphore("B")
@@ -167,7 +168,7 @@ func TestICPPSingleBlockingBound(t *testing.T) {
 			Prog: critProg(b, 0, 3*vtime.Millisecond)})
 		k.AddTask(task.Spec{Name: "loA", Period: 50 * vtime.Millisecond,
 			Prog: critProg(a, 0, 3*vtime.Millisecond)})
-		boot(t, k)
+		boot(t, n)
 		k.Run(40 * vtime.Millisecond)
 		return hi.TCB.MaxResp
 	}

@@ -89,14 +89,15 @@ func (k *Kernel) CheckInvariants() []string {
 		comp += th.TCB.Completions
 		miss += th.TCB.Misses
 	}
-	if rel != k.stats.Releases {
-		bad = append(bad, fmt.Sprintf("stats: Releases=%d but Σ task releases=%d", k.stats.Releases, rel))
+	st := k.Stats()
+	if rel != st.Releases {
+		bad = append(bad, fmt.Sprintf("stats: Releases=%d but Σ task releases=%d", st.Releases, rel))
 	}
-	if comp != k.stats.Completions {
-		bad = append(bad, fmt.Sprintf("stats: Completions=%d but Σ task completions=%d", k.stats.Completions, comp))
+	if comp != st.Completions {
+		bad = append(bad, fmt.Sprintf("stats: Completions=%d but Σ task completions=%d", st.Completions, comp))
 	}
-	if miss != k.stats.Misses {
-		bad = append(bad, fmt.Sprintf("stats: Misses=%d but Σ task misses=%d", k.stats.Misses, miss))
+	if miss != st.Misses {
+		bad = append(bad, fmt.Sprintf("stats: Misses=%d but Σ task misses=%d", st.Misses, miss))
 	}
 
 	// Charges: every overhead bucket accumulates non-negative charges

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/metrics"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -14,29 +14,18 @@ import (
 // smallest harness the invariant tests need.
 func newBooted(t *testing.T, specs ...task.Spec) *Kernel {
 	t.Helper()
-	prof := costmodel.M68040()
-	k, err := New(nil, Options{Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, StandardSem: true})
 	for _, s := range specs {
 		k.AddTask(s)
 	}
-	k.SetScheduler(sched.NewRM(prof))
-	if err := k.Boot(); err != nil {
-		t.Fatal(err)
-	}
+	boot(t, n)
 	return k
 }
 
 // TestCheckInvariantsHealthy: a contended but correct run — semaphores,
 // mailbox traffic, preemption — must audit clean at quiescence.
 func TestCheckInvariantsHealthy(t *testing.T) {
-	prof := costmodel.M68040()
-	k, err := New(nil, Options{Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, StandardSem: true})
 	sem := k.NewSemaphore("m")
 	mb := k.NewMailbox("mb", 1)
 	k.AddTask(task.Spec{Name: "prod", Period: 4 * vtime.Millisecond,
@@ -49,22 +38,20 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 			task.Recv(mb),
 			task.Acquire(sem), task.Compute(1 * vtime.Millisecond), task.Release(sem),
 		}})
-	k.SetScheduler(sched.NewRM(prof))
-	if err := k.Boot(); err != nil {
-		t.Fatal(err)
-	}
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if bad := k.CheckInvariants(); bad != nil {
 		t.Fatalf("healthy run failed the audit:\n%s", strings.Join(bad, "\n"))
 	}
 }
 
-// TestCheckInvariantsDetectsSkew: corrupting one side of the dual
-// counters must be reported, proving the audit has teeth.
+// TestCheckInvariantsDetectsSkew: corrupting the kernel-wide release
+// count against the per-task ones must be reported, proving the audit
+// has teeth.
 func TestCheckInvariantsDetectsSkew(t *testing.T) {
 	k := newBooted(t, task.Spec{Name: "t0", Period: 5 * vtime.Millisecond, WCET: vtime.Millisecond})
 	k.Run(20 * vtime.Millisecond)
-	k.stats.Releases += 3
+	k.met.Add(metrics.Releases, 3)
 	bad := k.CheckInvariants()
 	found := false
 	for _, m := range bad {

@@ -29,73 +29,6 @@ import (
 	"emeralds/internal/vtime"
 )
 
-// Options configure a kernel instance.
-type Options struct {
-	// Profile is the cost model; nil means costmodel.M68040().
-	Profile *costmodel.Profile
-	// Scheduler is the scheduling policy. It may be left nil and bound
-	// later with SetScheduler — package core does this to choose a CSD
-	// partition from the admitted task set — but Boot fails if it is
-	// still nil.
-	Scheduler sched.Scheduler
-	// OptimizedSem enables the §6 EMERALDS semaphore scheme: the
-	// semaphore-hint context-switch elimination and the O(1)
-	// place-holder priority inheritance. When false the standard
-	// implementation of §6.1 is used.
-	OptimizedSem bool
-	// DisableHints ablates the §6.2 hint mechanism (context-switch
-	// elimination) while keeping the place-holder PI. Only meaningful
-	// with OptimizedSem; used by the ablation benchmarks.
-	DisableHints bool
-	// DisablePlaceholder ablates the O(1) place-holder priority
-	// inheritance (falling back to the O(n) reposition) while keeping
-	// the hint mechanism. Only meaningful with OptimizedSem.
-	DisablePlaceholder bool
-	// Trace, when non-nil, receives execution events.
-	Trace *trace.Log
-	// DeadlineMonotonic assigns fixed priorities by relative deadline
-	// instead of period (§5.3's alternative fixed-priority policy).
-	// With implicit deadlines the two coincide.
-	DeadlineMonotonic bool
-	// PriorityCeiling selects the immediate priority ceiling protocol
-	// for mutexes held by fixed-priority tasks, in place of plain
-	// priority inheritance: at Boot each semaphore's ceiling is derived
-	// from the programs that lock it, and acquiring a mutex immediately
-	// raises the holder to that ceiling. ICPP gives the classic
-	// guarantees PI lacks — deadlock freedom and at most one blocking
-	// critical section — at the cost of boosting on every acquire.
-	PriorityCeiling bool
-	// RecordResponses keeps a per-task latency histogram (log buckets,
-	// constant memory) so reports can show tail quantiles, not just
-	// avg/max. Off by default: even instrumentation respects the
-	// small-memory discipline.
-	RecordResponses bool
-	// RAMBudget, when positive, bounds the kernel's accounted dynamic
-	// memory (TCBs, stacks, queues, buffers) in bytes — §2's 32–128 KB
-	// on-chip constraint. Exceeding it makes object creation and Boot
-	// fail. 0 = unlimited (hosted simulation).
-	RAMBudget int
-	// Name labels the kernel (node name in distributed setups).
-	Name string
-	// CPUs is the number of processors (0 and 1 both mean the classic
-	// single-CPU kernel, whose behavior is bit-for-bit unchanged). With
-	// M > 1 the kernel runs one scheduler instance per CPU over a shared
-	// event clock: tasks are partitioned at Boot (sched.AssignCPUs,
-	// honoring Spec.Affinity), cross-CPU wakeups are delivered by
-	// cost-charged IPIs, and tasks move between CPUs only through the
-	// explicit Migrate operation at segment boundaries.
-	CPUs int
-	// Schedulers provides one policy instance per CPU when CPUs > 1
-	// (index = CPU). Scheduler instances hold queue state, so they
-	// cannot be shared; Boot fails if any slot is nil. Ignored for the
-	// single-CPU kernel, which uses Scheduler.
-	Schedulers []sched.Scheduler
-	// LockRegime selects the simulated kernel-lock granularity charged
-	// on multicore runs (never charged with one CPU). The zero value is
-	// LockPerCPU: per-CPU lock-free run queues, object locks only.
-	LockRegime LockRegime
-}
-
 // LockRegime models the granularity of kernel locking as a simulated
 // cost policy: every locked kernel operation extends its lock domain's
 // busy window, and an operation from another CPU that lands inside the
@@ -154,7 +87,7 @@ type Thread struct {
 	preAcq     *semaphore       // §6.3.1 pre-acquire queue membership
 	reacquire  *semaphore       // mutex to re-take after a condvar wait
 	msgVal     int64            // last received mailbox/state value
-	respHist   *stats.Histogram // lazily allocated under Options.RecordResponses; non-nil once a sample lands
+	respHist   *stats.Histogram // lazily allocated under sim.Config.RecordResponses; non-nil once a sample lands
 	blockHist  *stats.Histogram // semaphore blocking times; same lifecycle as respHist
 	semBlockAt vtime.Time       // instant the thread last blocked on a semaphore
 	jobActive  bool
@@ -196,12 +129,12 @@ func (t *Thread) LastMsg() int64 { return t.msgVal }
 func (t *Thread) Deliver(val int64) { t.msgVal = val }
 
 // Responses returns the thread's latency histogram (nil unless
-// Options.RecordResponses was set).
+// sim.Config.RecordResponses was set).
 func (t *Thread) Responses() *stats.Histogram { return t.respHist }
 
 // Blocking returns the thread's semaphore blocking-time histogram —
 // contended acquire (or hint-PI park, or condvar-to-mutex move) to
-// grant — nil unless Options.RecordResponses was set.
+// grant — nil unless sim.Config.RecordResponses was set.
 func (t *Thread) Blocking() *stats.Histogram { return t.blockHist }
 
 // Stats bundles kernel-wide accounting.
@@ -341,7 +274,7 @@ type Kernel struct {
 	ram       *mem.RAM
 	ramErr    error
 	defProc   int
-	stats     Stats
+	stats     Stats // charge durations only; Stats derives the counts
 	met       *metrics.Set
 
 	// OnJobComplete, when set before Boot, is invoked at the instant a
@@ -368,27 +301,34 @@ type BusPort interface {
 	Send(val int64, size int)
 }
 
-// New creates a kernel on the given engine (a fresh engine when nil —
-// distributed setups share one engine across kernels).
-//
-// Deprecated: New is the low-level assembly entry point that NewNode
-// uses internally. Build systems from a sim.Config via NewNode or the
-// one-shot Boot, which also own scheduler selection, the CSD partition
-// search, and trace-ring creation; reach for New only when a test
-// needs to wire Options the builder deliberately does not expose.
-func New(eng *sim.Engine, opts Options) (*Kernel, error) {
-	if eng == nil {
-		eng = sim.New()
-	}
-	prof := opts.Profile
+// newKernel assembles the kernel of a node from its config; NewNode
+// documents the defaults and the panics. Scheduler instances are bound
+// later, at Node.Boot.
+func newKernel(cfg sim.Config) *Kernel {
+	prof := cfg.Profile
 	if prof == nil {
 		prof = costmodel.M68040()
 	}
-	name := opts.Name
+	var regime LockRegime
+	if cfg.Lock != "" {
+		var err error
+		if regime, err = ParseLockRegime(cfg.Lock); err != nil {
+			panic(err)
+		}
+	}
+	var tr *trace.Log
+	if cfg.TraceCapacity > 0 {
+		tr = trace.New(cfg.TraceCapacity)
+	}
+	eng := cfg.Engine
+	if eng == nil {
+		eng = sim.New()
+	}
+	name := cfg.Name
 	if name == "" {
 		name = "node0"
 	}
-	m := opts.CPUs
+	m := cfg.CPUs
 	if m < 1 {
 		m = 1
 	}
@@ -396,28 +336,20 @@ func New(eng *sim.Engine, opts Options) (*Kernel, error) {
 		name:      name,
 		eng:       eng,
 		prof:      prof,
-		optHints:  opts.OptimizedSem && !opts.DisableHints,
-		optPI:     opts.OptimizedSem && !opts.DisablePlaceholder,
-		dm:        opts.DeadlineMonotonic,
-		icpp:      opts.PriorityCeiling,
-		record:    opts.RecordResponses,
-		tr:        opts.Trace,
-		lockReg:   opts.LockRegime,
+		optHints:  !cfg.StandardSem && !cfg.DisableHints,
+		optPI:     !cfg.StandardSem && !cfg.DisablePlaceholder,
+		dm:        cfg.DeadlineMonotonic,
+		icpp:      cfg.PriorityCeiling,
+		record:    cfg.RecordResponses,
+		tr:        tr,
+		lockReg:   regime,
 		memsys:    mem.NewSystem(),
 		footprint: mem.NewFootprint(),
-		ram:       mem.NewRAM(opts.RAMBudget),
+		ram:       mem.NewRAM(cfg.RAMBudget),
 	}
 	k.cpus = make([]*cpu, m)
 	for i := range k.cpus {
 		k.cpus[i] = &cpu{id: i, met: &metrics.Set{}}
-	}
-	k.cpus[0].sch = opts.Scheduler
-	if m > 1 {
-		for i, s := range opts.Schedulers {
-			if i < m {
-				k.cpus[i].sch = s
-			}
-		}
 	}
 	k.exec = k.cpus[0]
 	// Shard 0 doubles as the global shard: kernel objects created
@@ -425,7 +357,7 @@ func New(eng *sim.Engine, opts Options) (*Kernel, error) {
 	// counters here.
 	k.met = k.cpus[0].met
 	k.memsys.NewSpace() // space 0: kernel
-	return k, nil
+	return k
 }
 
 // Engine returns the underlying discrete-event engine.
@@ -453,8 +385,36 @@ func (k *Kernel) NumCPUs() int { return len(k.cpus) }
 // LockRegimeInEffect reports the simulated lock granularity.
 func (k *Kernel) LockRegimeInEffect() LockRegime { return k.lockReg }
 
-// Stats returns a snapshot of kernel-wide accounting.
-func (k *Kernel) Stats() Stats { return k.stats }
+// Stats returns a snapshot of kernel-wide accounting. The event counts
+// are summed from the per-CPU metric shards, their only store; the
+// charge durations are the kernel's own. Allocation-free: the telemetry
+// sampler calls it once per tick.
+func (k *Kernel) Stats() Stats {
+	var m metrics.Set
+	for _, c := range k.cpus {
+		m.Merge(c.met)
+	}
+	st := k.stats
+	st.ContextSwitches = m.Get(metrics.Dispatches)
+	st.Preemptions = m.Get(metrics.Preemptions)
+	st.SavedSwitches = m.Get(metrics.SavedSwitches)
+	st.HintPIs = m.Get(metrics.HintPIs)
+	st.Releases = m.Get(metrics.Releases)
+	st.Completions = m.Get(metrics.Completions)
+	st.Misses = m.Get(metrics.DeadlineMisses)
+	st.Overruns = m.Get(metrics.Overruns)
+	st.Faults = m.Get(metrics.Faults)
+	st.SemAcquires = m.Get(metrics.SemAcquires)
+	st.SemContended = m.Get(metrics.SemBlocks)
+	st.MsgsSent = m.Get(metrics.MailboxSends)
+	st.MsgsDropped = m.Get(metrics.MailboxDrops)
+	st.StateWrites = m.Get(metrics.StateWrites)
+	st.StateReads = m.Get(metrics.StateReads)
+	st.Interrupts = m.Get(metrics.Interrupts)
+	st.VLinkMsgs = m.Get(metrics.VLinkSends)
+	st.VLinkDropped = m.Get(metrics.VLinkDrops)
+	return st
+}
 
 // Metrics returns the kernel's counter set. On the single-CPU kernel it
 // is the live set subsystems increment (shared via
@@ -482,7 +442,7 @@ func (k *Kernel) mergedMetrics() *metrics.Set {
 
 // Diagnostics builds the observability block for artifacts: the full
 // counter snapshot plus per-task response/blocking summaries (present
-// only with Options.RecordResponses, and only for tasks that recorded
+// only with sim.Config.RecordResponses, and only for tasks that recorded
 // at least one sample). Tasks appear in creation order, so the block is
 // deterministic. On multicore kernels the counters are the per-CPU
 // shards merged in shard order.
@@ -651,19 +611,11 @@ func (k *Kernel) AddTaskIn(proc int, spec task.Spec) *Thread {
 	return th
 }
 
-// SetScheduler binds the scheduling policy before Boot (CPU 0's slot;
-// see SetSchedulers for a multicore kernel).
-func (k *Kernel) SetScheduler(s sched.Scheduler) {
+// setSchedulers binds the policy instances before boot, one per CPU in
+// CPU order.
+func (k *Kernel) setSchedulers(ss ...sched.Scheduler) {
 	if k.booted {
-		panic("kernel: SetScheduler after Boot")
-	}
-	k.cpus[0].sch = s
-}
-
-// SetSchedulers binds one policy instance per CPU before Boot.
-func (k *Kernel) SetSchedulers(ss []sched.Scheduler) {
-	if k.booted {
-		panic("kernel: SetSchedulers after Boot")
+		panic("kernel: setSchedulers after boot")
 	}
 	for i, s := range ss {
 		if i < len(k.cpus) {
@@ -672,14 +624,14 @@ func (k *Kernel) SetSchedulers(ss []sched.Scheduler) {
 	}
 }
 
-// Boot assigns priorities, admits every thread to the scheduler and
+// boot assigns priorities, admits every thread to the scheduler and
 // schedules the first periodic releases. For a CSD scheduler the queue
-// partition in the scheduler is applied to the RM-sorted TCBs —
-// package core chooses it automatically. On a multicore kernel the
-// task set is first partitioned across CPUs (sched.AssignCPUs, which
-// honors Spec.Affinity) and each CPU's scheduler admits its share with
+// partition in the scheduler (chosen by Node.Boot) is applied to the
+// RM-sorted TCBs. On a multicore kernel the task set is first
+// partitioned across CPUs (sched.AssignCPUs, which honors
+// Spec.Affinity) and each CPU's scheduler admits its share with
 // per-CPU priority ranks.
-func (k *Kernel) Boot() error {
+func (k *Kernel) boot() error {
 	if k.booted {
 		return fmt.Errorf("kernel: already booted")
 	}

@@ -3,24 +3,17 @@ package kernel
 import (
 	"testing"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/metrics"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
-// TestMetricsMirrorStats runs a contended three-task scenario and
-// checks the counter registry agrees with the legacy Stats fields it
-// shadows, and that the scheduler/IPC-owned counters fired.
-func TestMetricsMirrorStats(t *testing.T) {
-	prof := costmodel.M68040()
-	k, _ := New(nil, Options{
-		Profile:         prof,
-		Scheduler:       sched.NewCSD(prof, sched.Partition{DPSizes: []int{2}}),
-		OptimizedSem:    true,
-		RecordResponses: true,
-	})
+// runContended boots a node from cfg with three tasks sharing a mutex,
+// a mailbox and a state message, and runs it for 500 ms.
+func runContended(t *testing.T, cfg sim.Config) *Kernel {
+	t.Helper()
+	n, k := newNode(cfg)
 	sem := k.NewSemaphore("m")
 	st := k.NewStateMessage("s", 3, 8)
 	mbx := k.NewMailbox("mb", 2)
@@ -42,41 +35,21 @@ func TestMetricsMirrorStats(t *testing.T) {
 		task.StateRead(st),
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(500 * vtime.Millisecond)
+	return k
+}
 
+// TestMetricsWiring runs the contended scenario and checks that the
+// scheduler- and IPC-owned counters fired and that Diagnostics carries
+// the full counter block with both latency metrics.
+func TestMetricsWiring(t *testing.T) {
+	k := runContended(t, sim.Config{Policy: sim.PolicyCSD, DPSizes: []int{2}, RecordResponses: true})
 	m := k.Metrics()
-	st8 := k.Stats()
-	for _, c := range []struct {
-		id   metrics.ID
-		want uint64
-	}{
-		{metrics.Preemptions, st8.Preemptions},
-		{metrics.Releases, st8.Releases},
-		{metrics.Completions, st8.Completions},
-		{metrics.DeadlineMisses, st8.Misses},
-		{metrics.Overruns, st8.Overruns},
-		{metrics.SemAcquires, st8.SemAcquires},
-		{metrics.SemBlocks, st8.SemContended},
-		{metrics.SavedSwitches, st8.SavedSwitches},
-		{metrics.HintPIs, st8.HintPIs},
-		{metrics.StateWrites, st8.StateWrites},
-		{metrics.StateReads, st8.StateReads},
-		{metrics.Interrupts, st8.Interrupts},
-		{metrics.Faults, st8.Faults},
-	} {
-		if got := m.Get(c.id); got != c.want {
-			t.Errorf("%v = %d, stats say %d", c.id, got, c.want)
-		}
-	}
 	// Dispatches include switches from idle; ContextSwitches only
 	// switches away from a running task.
 	if d, cs := m.Get(metrics.Dispatches), m.Get(metrics.ContextSwitches); d == 0 || d < cs {
 		t.Errorf("dispatches = %d, context_switches = %d", d, cs)
-	}
-	if m.Get(metrics.Dispatches) != st8.ContextSwitches {
-		t.Errorf("dispatches = %d, stats.ContextSwitches = %d",
-			m.Get(metrics.Dispatches), st8.ContextSwitches)
 	}
 	// Scheduler- and IPC-owned counters must have been wired at Boot.
 	if m.Get(metrics.SchedSelects) == 0 {
@@ -120,5 +93,25 @@ func TestMetricsMirrorStats(t *testing.T) {
 	}
 	if !sawResp || !sawBlock {
 		t.Errorf("diagnostics tasks: response=%v blocking=%v, want both", sawResp, sawBlock)
+	}
+}
+
+// TestStatsZeroAlloc pins that Stats, which the telemetry sampler calls
+// every tick, sums the per-CPU shards without allocating, and that the
+// sum covers every shard.
+func TestStatsZeroAlloc(t *testing.T) {
+	for _, cpus := range []int{1, 4} {
+		k := runContended(t, sim.Config{Policy: sim.PolicyEDF, CPUs: cpus})
+		var st Stats
+		if allocs := testing.AllocsPerRun(100, func() { st = k.Stats() }); allocs != 0 {
+			t.Errorf("M=%d: Stats allocates %.1f times per call", cpus, allocs)
+		}
+		var releases uint64
+		for c := 0; c < k.NumCPUs(); c++ {
+			releases += k.MetricsOn(c).Get(metrics.Releases)
+		}
+		if st.Releases == 0 || st.Releases != releases {
+			t.Errorf("M=%d: Stats.Releases = %d, shard sum %d", cpus, st.Releases, releases)
+		}
 	}
 }

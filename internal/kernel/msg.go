@@ -61,7 +61,6 @@ func (k *Kernel) doSend(th *Thread, op task.Op) {
 		k.reschedule()
 		return
 	}
-	k.stats.MsgsSent++
 	th.TCB.PC++
 	k.trAdd(traceKindMsgSend, th.TCB.Name, mb.box.Name)
 	if k.pumpMailbox(mb) {
@@ -126,7 +125,6 @@ func (k *Kernel) completePendingSends(mb *kmailbox) bool {
 		if sTCB.PC < len(prog) && prog[sTCB.PC].Kind == task.OpSend {
 			op := prog[sTCB.PC]
 			mb.box.Push(ipc.Msg{Val: op.Val, Size: op.Size}) // loop condition guarantees space
-			k.stats.MsgsSent++
 			k.charge(k.prof.MailboxTransfer(op.Size), &k.stats.IPCCharge)
 			sTCB.PC++
 			k.trAdd(traceKindMsgSend, sTCB.Name, mb.box.Name)
@@ -156,17 +154,14 @@ func (k *Kernel) completePendingSends(mb *kmailbox) bool {
 // supersedes it. Reports whether it was delivered.
 func (k *Kernel) InjectMessage(id int, val int64, size int) bool {
 	k.exec = k.cpus[0] // interrupts are wired to CPU 0
-	k.stats.Interrupts++
 	k.exec.met.Inc(metrics.Interrupts)
 	k.charge(k.prof.InterruptEntry, &k.stats.TimerCharge)
 	mb := k.mbox(id)
 	if !mb.box.Push(ipc.Msg{Val: val, Size: size}) {
-		k.stats.MsgsDropped++
 		k.exec.met.Inc(metrics.MailboxDrops)
 		k.trAdd(traceKindInterrupt, "isr", mb.box.Name+" drop")
 		return false
 	}
-	k.stats.MsgsSent++
 	k.trAdd(traceKindInterrupt, "isr", mb.box.Name)
 	if k.pumpMailbox(mb) {
 		k.reschedule()
@@ -197,13 +192,12 @@ func (k *Kernel) state(id int) *ipc.StateMessage {
 }
 
 // StateValue reads a state message outside the simulation (tests,
-// examples' final reports).
-func (k *Kernel) StateValue(id int) (int64, bool) { return k.state(id).Read() }
+// examples' final reports). The peek is not counted as a state read.
+func (k *Kernel) StateValue(id int) (int64, bool) { return k.state(id).Peek() }
 
 func (k *Kernel) doStateWrite(th *Thread, op task.Op) {
 	sm := k.state(op.Obj)
 	sm.Write(op.Val)
-	k.stats.StateWrites++
 	th.TCB.PC++
 	k.trAdd(traceKindStateWrite, th.TCB.Name, sm.Name)
 }
@@ -213,7 +207,6 @@ func (k *Kernel) doStateRead(th *Thread, op task.Op) {
 	if v, ok := sm.Read(); ok {
 		th.msgVal = v
 	}
-	k.stats.StateReads++
 	th.TCB.PC++
 	k.trAdd(traceKindStateRead, th.TCB.Name, sm.Name)
 }
@@ -224,7 +217,6 @@ func (k *Kernel) StateWriteISR(id int, val int64) {
 	k.exec = k.cpus[0]
 	k.charge(k.prof.StateMsgTransfer(k.state(id).Size()), &k.stats.IPCCharge)
 	k.state(id).Write(val)
-	k.stats.StateWrites++
 	k.trAdd(traceKindStateWrite, "isr", k.state(id).Name)
 }
 
@@ -244,7 +236,6 @@ func (k *Kernel) doMemOp(th *Thread, op task.Op) {
 	if err != nil {
 		// Protection fault: the job is killed, full memory protection
 		// being the point of multi-threaded processes (§3).
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, err.Error())
 		k.killJob(th)
@@ -290,7 +281,6 @@ func (k *Kernel) device(id int) Device {
 func (k *Kernel) doIO(th *Thread, op task.Op) {
 	d := k.device(op.Obj)
 	if d == nil {
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, fmt.Sprintf("no device %d", op.Obj))
 		th.TCB.PC++
@@ -312,7 +302,6 @@ func (k *Kernel) BindISR(vector int, handler func(*Kernel)) {
 // interrupts are wired).
 func (k *Kernel) Raise(vector int) {
 	k.exec = k.cpus[0]
-	k.stats.Interrupts++
 	k.exec.met.Inc(metrics.Interrupts)
 	k.charge(k.prof.InterruptEntry, &k.stats.TimerCharge)
 	k.trAdd(traceKindInterrupt, "isr", fmt.Sprintf("vector %d", vector))
@@ -335,7 +324,6 @@ func (k *Kernel) RegisterBusPort(p BusPort) int {
 
 func (k *Kernel) doBusSend(th *Thread, op task.Op) {
 	if op.Obj < 0 || op.Obj >= len(k.ports) {
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, fmt.Sprintf("no bus port %d", op.Obj))
 		th.TCB.PC++
@@ -354,7 +342,6 @@ func (k *Kernel) SetAlarm(d vtime.Duration, eventID int) {
 	k.event(eventID) // validate now, not at fire time
 	k.eng.After(d, "alarm", func() {
 		k.exec = k.cpus[0]
-		k.stats.Interrupts++
 		k.exec.met.Inc(metrics.Interrupts)
 		k.charge(k.prof.TimerInterrupt, &k.stats.TimerCharge)
 		k.signalEvent(eventID, "alarm")

@@ -5,7 +5,8 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/mem"
-	"emeralds/internal/sched"
+	"emeralds/internal/metrics"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
@@ -13,13 +14,13 @@ import (
 
 func TestMailboxProducerConsumer(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("q", 4)
 	cons := k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.Recv(mb), task.Compute(100 * vtime.Microsecond)}})
 	k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond, Phase: 2 * vtime.Millisecond,
 		Prog: task.Program{task.Compute(100 * vtime.Microsecond), task.Send(mb, 77, 8)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if cons.TCB.Completions < 9 {
 		t.Errorf("consumer completed %d jobs", cons.TCB.Completions)
@@ -34,13 +35,13 @@ func TestMailboxProducerConsumer(t *testing.T) {
 
 func TestMailboxReceiverGetsQueuedDataWithoutBlocking(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("q", 4)
 	k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.Send(mb, 5, 8)}})
 	cons := k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
 		Prog: task.Program{task.Recv(mb)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	if cons.TCB.Completions < 4 {
 		t.Errorf("consumer completions = %d", cons.TCB.Completions)
@@ -52,7 +53,7 @@ func TestMailboxReceiverGetsQueuedDataWithoutBlocking(t *testing.T) {
 
 func TestMailboxFullBlocksSender(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("q", 1)
 	// Sender tries to push 3 messages per job into a 1-slot mailbox.
 	snd := k.AddTask(task.Spec{Name: "snd", Period: 20 * vtime.Millisecond,
@@ -69,7 +70,7 @@ func TestMailboxFullBlocksSender(t *testing.T) {
 			task.Compute(100 * vtime.Microsecond),
 			task.Recv(mb),
 		}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if snd.TCB.Completions < 4 || rcv.TCB.Completions < 4 {
 		t.Errorf("completions: snd=%d rcv=%d", snd.TCB.Completions, rcv.TCB.Completions)
@@ -81,11 +82,11 @@ func TestMailboxFullBlocksSender(t *testing.T) {
 
 func TestInjectMessageFromISR(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("rx", 2)
 	cons := k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.Recv(mb)}})
-	boot(t, k)
+	boot(t, n)
 	for i := 0; i < 5; i++ {
 		v := int64(i)
 		k.Engine().At(vtime.Time(vtime.Duration(i*10+2)*vtime.Millisecond), "rx", func() {
@@ -103,9 +104,9 @@ func TestInjectMessageFromISR(t *testing.T) {
 
 func TestInjectMessageDropsWhenFull(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("rx", 1)
-	boot(t, k)
+	boot(t, n)
 	ok1 := k.InjectMessage(mb, 1, 8)
 	ok2 := k.InjectMessage(mb, 2, 8)
 	if !ok1 || ok2 {
@@ -118,13 +119,13 @@ func TestInjectMessageDropsWhenFull(t *testing.T) {
 
 func TestStateMessageFreshnessAcrossTasks(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sm := k.NewStateMessage("rpm", 3, 8)
 	reader := k.AddTask(task.Spec{Name: "r", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
 		Prog: task.Program{task.StateRead(sm)}})
 	k.AddTask(task.Spec{Name: "w", Period: 5 * vtime.Millisecond,
 		Prog: task.Program{task.StateWrite(sm, 123, 8)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	if reader.LastMsg() != 123 {
 		t.Errorf("read %d", reader.LastMsg())
@@ -142,11 +143,11 @@ func TestStateMessageNeverBlocksOrSwitches(t *testing.T) {
 	// A pure state-message workload on one task must run with zero
 	// semaphore activity and no context switches beyond dispatches.
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sm := k.NewStateMessage("s", 3, 8)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.StateWrite(sm, 1, 8), task.StateRead(sm)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.SemContended != 0 || st.SemCharge != 0 {
@@ -159,18 +160,37 @@ func TestStateMessageNeverBlocksOrSwitches(t *testing.T) {
 
 func TestStateWriteISR(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sm := k.NewStateMessage("s", 3, 8)
-	boot(t, k)
+	boot(t, n)
 	k.StateWriteISR(sm, 999)
 	if v, ok := k.StateValue(sm); !ok || v != 999 {
 		t.Errorf("value = %d/%v", v, ok)
 	}
 }
 
+// TestStateValueDoesNotCount: the out-of-simulation peek must leave the
+// counters it is used to report beside unchanged.
+func TestStateValueDoesNotCount(t *testing.T) {
+	n, k := newEDFNode(nil)
+	sm := k.NewStateMessage("s", 3, 8)
+	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
+		Prog: task.Program{task.StateWrite(sm, 5, 8), task.StateRead(sm)}})
+	boot(t, n)
+	k.Run(25 * vtime.Millisecond)
+	before, stBefore := *k.Metrics(), k.Stats()
+	if v, ok := k.StateValue(sm); !ok || v != 5 {
+		t.Fatalf("value = %d/%v", v, ok)
+	}
+	if *k.Metrics() != before || k.Stats() != stBefore {
+		t.Errorf("StateValue moved the counters: state_reads %d → %d",
+			before.Get(metrics.StateReads), k.Metrics().Get(metrics.StateReads))
+	}
+}
+
 func TestMemoryProtectionFaultKillsJob(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	region := k.Memory().NewRegion("priv", 16)
 	victim := k.AddTask(task.Spec{Name: "victim", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{
@@ -179,7 +199,7 @@ func TestMemoryProtectionFaultKillsJob(t *testing.T) {
 		}})
 	healthy := k.AddTask(task.Spec{Name: "healthy", Period: 10 * vtime.Millisecond,
 		WCET: vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	if k.Stats().Faults == 0 {
 		t.Fatal("no fault recorded")
@@ -194,7 +214,7 @@ func TestMemoryProtectionFaultKillsJob(t *testing.T) {
 
 func TestMemoryMappedAccessWorks(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	region := k.Memory().NewRegion("shared", 16)
 	th := k.AddTask(task.Spec{Name: "rw", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{
@@ -204,7 +224,7 @@ func TestMemoryMappedAccessWorks(t *testing.T) {
 	if err := k.Memory().Map(th.Proc, region.ID, mem.ReadWrite); err != nil {
 		t.Fatal(err)
 	}
-	boot(t, k)
+	boot(t, n)
 	k.Run(15 * vtime.Millisecond)
 	if th.LastMsg() != 4242 {
 		t.Errorf("loaded %d", th.LastMsg())
@@ -229,12 +249,12 @@ func (d *fakeDevice) Handle(k *Kernel, th *Thread) {
 
 func TestDeviceIO(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	dev := &fakeDevice{name: "adc", val: 321}
 	id := k.RegisterDevice(dev)
 	th := k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.IO(id)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(35 * vtime.Millisecond)
 	if dev.calls != 4 {
 		t.Errorf("driver calls = %d", dev.calls)
@@ -246,10 +266,10 @@ func TestDeviceIO(t *testing.T) {
 
 func TestIOOnMissingDeviceIsFault(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.IO(9), task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(15 * vtime.Millisecond)
 	if k.Stats().Faults == 0 {
 		t.Error("missing device not flagged")
@@ -258,12 +278,12 @@ func TestIOOnMissingDeviceIsFault(t *testing.T) {
 
 func TestISRSignalsEvent(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	ev := k.NewEvent("irq-ev")
 	th := k.AddTask(task.Spec{Name: "handler-task", Period: 20 * vtime.Millisecond,
 		Prog: task.Program{task.WaitEvent(ev), task.Compute(vtime.Millisecond)}})
 	k.BindISR(3, func(k *Kernel) { k.SignalEventISR(ev) })
-	boot(t, k)
+	boot(t, n)
 	k.RaiseAfter(5*vtime.Millisecond, 3)
 	k.RaiseAfter(25*vtime.Millisecond, 3)
 	k.Run(45 * vtime.Millisecond)
@@ -277,8 +297,8 @@ func TestISRSignalsEvent(t *testing.T) {
 
 func TestUnboundInterruptIsHarmless(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
-	boot(t, k)
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
+	boot(t, n)
 	k.Raise(42) // no handler bound: counted, no crash
 	if k.Stats().Interrupts != 1 {
 		t.Errorf("interrupts = %d", k.Stats().Interrupts)
@@ -287,10 +307,10 @@ func TestUnboundInterruptIsHarmless(t *testing.T) {
 
 func TestBusSendWithoutPortIsFault(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.BusSend(0, 1, 4), task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(15 * vtime.Millisecond)
 	if k.Stats().Faults == 0 {
 		t.Error("missing bus port not flagged")
@@ -307,12 +327,12 @@ func (p *recordPort) Send(val int64, size int) { p.vals = append(p.vals, val) }
 
 func TestBusSendReachesPort(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	port := &recordPort{name: "tx"}
 	id := k.RegisterBusPort(port)
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.BusSend(id, 55, 4)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(25 * vtime.Millisecond)
 	if len(port.vals) != 3 || port.vals[0] != 55 {
 		t.Errorf("port got %v", port.vals)
@@ -321,11 +341,11 @@ func TestBusSendReachesPort(t *testing.T) {
 
 func TestSetAlarm(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	ev := k.NewEvent("alarm-ev")
 	sleeper := k.AddTask(task.Spec{Name: "sleeper", Period: 50 * vtime.Millisecond,
 		Prog: task.Program{task.WaitEvent(ev), task.Compute(vtime.Millisecond)}})
-	boot(t, k)
+	boot(t, n)
 	k.SetAlarm(5*vtime.Millisecond, ev)
 	k.Run(10 * vtime.Millisecond)
 	if sleeper.TCB.Completions != 1 {
@@ -338,8 +358,8 @@ func TestSetAlarm(t *testing.T) {
 
 func TestSetAlarmInvalidEventPanics(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
-	boot(t, k)
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
+	boot(t, n)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -355,8 +375,7 @@ func TestSetAlarmInvalidEventPanics(t *testing.T) {
 // must follow their deadlines.
 func TestCompletePendingSendsPriorityOrder(t *testing.T) {
 	prof := costmodel.Zero()
-	tr := trace.New(1 << 12)
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), Trace: tr})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true, TraceCapacity: 1 << 12})
 	mb := k.NewMailbox("q", 1)
 	// EDF priority at t=0 is the period (= relative deadline): "tight"
 	// runs first and fills the box; "mid" and "loose" block behind it.
@@ -372,13 +391,13 @@ func TestCompletePendingSendsPriorityOrder(t *testing.T) {
 			task.Recv(mb), task.Compute(100 * vtime.Microsecond),
 			task.Recv(mb),
 		}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(30 * vtime.Millisecond)
 	if rcv.TCB.Completions != 1 {
 		t.Fatalf("receiver completions = %d", rcv.TCB.Completions)
 	}
 	var sends []string
-	for _, ev := range tr.Events() {
+	for _, ev := range k.Trace().Events() {
 		if ev.Kind == trace.MsgSend {
 			sends = append(sends, ev.Task)
 		}
@@ -398,13 +417,13 @@ func TestCompletePendingSendsPriorityOrder(t *testing.T) {
 // surfaces.
 func TestInjectMessageFullBoxPreservesBlockedSenders(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	mb := k.NewMailbox("q", 1)
 	snd := k.AddTask(task.Spec{Name: "snd", Period: 50 * vtime.Millisecond,
 		Prog: task.Program{task.Send(mb, 1, 8), task.Send(mb, 2, 8)}})
 	rcv := k.AddTask(task.Spec{Name: "rcv", Period: 50 * vtime.Millisecond, Phase: 10 * vtime.Millisecond,
 		Prog: task.Program{task.Recv(mb), task.Compute(100 * vtime.Microsecond), task.Recv(mb)}})
-	boot(t, k)
+	boot(t, n)
 	// At 2 ms the box holds msg 1 and snd sleeps on msg 2: the ISR
 	// sample must be dropped, not queued ahead of the blocked send.
 	k.Engine().At(vtime.Time(2*vtime.Millisecond), "rx", func() {
@@ -429,9 +448,9 @@ func TestInjectMessageFullBoxPreservesBlockedSenders(t *testing.T) {
 // no-system-call claim extends to interrupt context).
 func TestStateWriteISRChargesIPCOnly(t *testing.T) {
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sm := k.NewStateMessage("s", 3, 16)
-	boot(t, k)
+	boot(t, n)
 	base := k.Stats().IPCCharge
 	k.StateWriteISR(sm, 7)
 	st := k.Stats()

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"emeralds/internal/analysis"
-	"emeralds/internal/costmodel"
 	"emeralds/internal/mem"
 	"emeralds/internal/parser"
 	"emeralds/internal/sched"
@@ -18,9 +17,9 @@ import (
 
 // Node is a bootable EMERALDS system assembled from one sim.Config:
 // the kernel, its trace ring, the scheduler instances (one per CPU),
-// and the §5.5.3 CSD partition search. It is the single construction
-// path — every cmd, scenario, and experiment builds systems through
-// NewNode or the one-shot Boot instead of hand-wiring Options.
+// and the §5.5.3 CSD partition search. It is the only construction
+// path: every cmd, scenario, experiment and test builds systems
+// through NewNode or the one-shot Boot.
 //
 // Typical use:
 //
@@ -33,9 +32,7 @@ import (
 type Node struct {
 	cfg      sim.Config
 	kern     *Kernel
-	tr       *trace.Log
 	part     sched.Partition
-	prof     *costmodel.Profile
 	override []sched.Scheduler
 }
 
@@ -50,39 +47,7 @@ func NewNode(cfg sim.Config) *Node {
 	if cfg.Queues <= 1 {
 		cfg.Queues = 3
 	}
-	prof := cfg.Profile
-	if prof == nil {
-		prof = costmodel.M68040()
-	}
-	var regime LockRegime
-	if cfg.Lock != "" {
-		var err error
-		if regime, err = ParseLockRegime(cfg.Lock); err != nil {
-			panic(err)
-		}
-	}
-	var tr *trace.Log
-	if cfg.TraceCapacity > 0 {
-		tr = trace.New(cfg.TraceCapacity)
-	}
-	k, err := New(cfg.Engine, Options{
-		Profile:            prof,
-		CPUs:               cfg.CPUs,
-		LockRegime:         regime,
-		OptimizedSem:       !cfg.StandardSem,
-		DisableHints:       cfg.DisableHints,
-		DisablePlaceholder: cfg.DisablePlaceholder,
-		Trace:              tr,
-		DeadlineMonotonic:  cfg.DeadlineMonotonic,
-		PriorityCeiling:    cfg.PriorityCeiling,
-		RecordResponses:    cfg.RecordResponses,
-		RAMBudget:          cfg.RAMBudget,
-		Name:               cfg.Name,
-	})
-	if err != nil {
-		panic(err) // only reachable on programmer error
-	}
-	return &Node{cfg: cfg, kern: k, tr: tr, prof: prof}
+	return &Node{cfg: cfg, kern: newKernel(cfg)}
 }
 
 // Boot is the one-shot builder: assemble a node from cfg, run setup
@@ -172,39 +137,35 @@ func (n *Node) NewProcess() int { return n.kern.NewProcess() }
 func (n *Node) Boot() error {
 	m := n.kern.NumCPUs()
 	if len(n.override) > 0 {
-		if m > 1 {
-			if len(n.override) != m {
-				return fmt.Errorf("kernel: %d scheduler overrides for %d CPUs", len(n.override), m)
-			}
-			n.kern.SetSchedulers(n.override)
-		} else {
-			n.kern.SetScheduler(n.override[0])
+		if m > 1 && len(n.override) != m {
+			return fmt.Errorf("kernel: %d scheduler overrides for %d CPUs", len(n.override), m)
 		}
-		return n.kern.Boot()
+		n.kern.setSchedulers(n.override...)
+		return n.kern.boot()
 	}
 	if m > 1 {
 		return n.bootMulti(m)
 	}
 	switch n.cfg.Policy {
 	case sim.PolicyEDF:
-		n.kern.SetScheduler(sched.NewEDF(n.prof))
+		n.kern.setSchedulers(sched.NewEDF(n.kern.prof))
 	case sim.PolicyRM:
-		n.kern.SetScheduler(sched.NewRM(n.prof))
+		n.kern.setSchedulers(sched.NewRM(n.kern.prof))
 	case sim.PolicyRMHeap:
-		n.kern.SetScheduler(sched.NewRMHeap(n.prof))
+		n.kern.setSchedulers(sched.NewRMHeap(n.kern.prof))
 	case sim.PolicyFP:
-		n.kern.SetScheduler(sched.NewFP(n.prof))
+		n.kern.setSchedulers(sched.NewFP(n.kern.prof))
 	case sim.PolicyCSD:
 		part, err := n.choosePartition(n.periodicSpecs())
 		if err != nil {
 			return err
 		}
 		n.part = part
-		n.kern.SetScheduler(sched.NewCSD(n.prof, part))
+		n.kern.setSchedulers(sched.NewCSD(n.kern.prof, part))
 	default:
 		return fmt.Errorf("kernel: unknown policy %q", n.cfg.Policy)
 	}
-	return n.kern.Boot()
+	return n.kern.boot()
 }
 
 // bootMulti binds one scheduler instance per CPU (instances hold queue
@@ -216,19 +177,19 @@ func (n *Node) bootMulti(m int) error {
 	switch n.cfg.Policy {
 	case sim.PolicyEDF:
 		for i := range ss {
-			ss[i] = sched.NewEDF(n.prof)
+			ss[i] = sched.NewEDF(n.kern.prof)
 		}
 	case sim.PolicyRM:
 		for i := range ss {
-			ss[i] = sched.NewRM(n.prof)
+			ss[i] = sched.NewRM(n.kern.prof)
 		}
 	case sim.PolicyRMHeap:
 		for i := range ss {
-			ss[i] = sched.NewRMHeap(n.prof)
+			ss[i] = sched.NewRMHeap(n.kern.prof)
 		}
 	case sim.PolicyFP:
 		for i := range ss {
-			ss[i] = sched.NewFP(n.prof)
+			ss[i] = sched.NewFP(n.kern.prof)
 		}
 	case sim.PolicyCSD:
 		var tcbs []*task.TCB
@@ -250,13 +211,13 @@ func (n *Node) bootMulti(m int) error {
 			if i == 0 {
 				n.part = part
 			}
-			ss[i] = sched.NewCSD(n.prof, part)
+			ss[i] = sched.NewCSD(n.kern.prof, part)
 		}
 	default:
 		return fmt.Errorf("kernel: unknown policy %q", n.cfg.Policy)
 	}
-	n.kern.SetSchedulers(ss)
-	return n.kern.Boot()
+	n.kern.setSchedulers(ss...)
+	return n.kern.boot()
 }
 
 func (n *Node) periodicSpecs() []task.Spec {
@@ -278,7 +239,7 @@ func (n *Node) choosePartition(specs []task.Spec) (sched.Partition, error) {
 		return sched.Partition{DPSizes: make([]int, n.cfg.Queues-1)}, nil
 	}
 	rmSorted := analysis.SortRM(specs)
-	if part, _, ok := analysis.BestPartition(n.prof, rmSorted, n.cfg.Queues); ok {
+	if part, _, ok := analysis.BestPartition(n.kern.prof, rmSorted, n.cfg.Queues); ok {
 		return part, nil
 	}
 	// No partition passes the schedulability test (overload): degrade
@@ -302,7 +263,7 @@ func (n *Node) Now() vtime.Time { return n.kern.Now() }
 func (n *Node) Stats() Stats { return n.kern.Stats() }
 
 // Trace returns the trace log (nil when disabled).
-func (n *Node) Trace() *trace.Log { return n.tr }
+func (n *Node) Trace() *trace.Log { return n.kern.tr }
 
 // Report renders a per-task and system summary.
 func (n *Node) Report() string {

@@ -12,7 +12,7 @@ import (
 
 // This file implements §6 of the paper: semaphores with full semantics
 // and priority inheritance, in two builds selected by
-// Options.OptimizedSem —
+// sim.Config.StandardSem —
 //
 // standard (§6.1):
 //
@@ -95,7 +95,6 @@ func (k *Kernel) SemOwnerName(id int) string {
 // at the acquire op; it advances only when the lock is obtained.
 func (k *Kernel) doAcquire(th *Thread, op task.Op) {
 	s := k.sem(op.Obj)
-	k.stats.SemAcquires++
 	k.exec.met.Inc(metrics.SemAcquires)
 	k.lockObj(objSem, s.id, k.prof.SemBookkeeping)
 	if th.preAcq == s {
@@ -121,7 +120,6 @@ func (k *Kernel) doAcquire(th *Thread, op task.Op) {
 	// old slot, and highestP must already have advanced past the
 	// caller's own position or the forward scan would miss the boosted
 	// holder entirely.
-	k.stats.SemContended++
 	k.exec.met.Inc(metrics.SemBlocks)
 	th.semBlockAt = k.eng.Now()
 	th.TCB.State = task.Blocked
@@ -153,7 +151,6 @@ func (k *Kernel) doRelease(th *Thread, op task.Op) {
 	if s.isMutex() && s.owner != th {
 		// Releasing a mutex one does not hold is an application bug;
 		// surface it as a fault rather than corrupting lock state.
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, "release of unheld "+s.name)
 		th.TCB.PC++
@@ -245,7 +242,6 @@ func (k *Kernel) releaseAllHeld(th *Thread) {
 			break
 		}
 		s := k.sem(id)
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, "job ended holding "+s.name)
 		k.releaseInternal(th, s)
@@ -393,8 +389,6 @@ func (k *Kernel) wakeup(th *Thread) bool {
 			s.waiters.Add(th.TCB)
 			th.waitingSem = s
 			th.semBlockAt = k.eng.Now()
-			k.stats.SavedSwitches++
-			k.stats.HintPIs++
 			k.exec.met.Inc(metrics.SavedSwitches)
 			k.exec.met.Inc(metrics.HintPIs)
 			k.trAdd(traceKindSemHintPI, th.TCB.Name, k.semBlockDetail(s))
@@ -526,7 +520,6 @@ func (k *Kernel) doCondWait(th *Thread, op task.Op) {
 	c := k.cv(op.Obj)
 	m := k.sem(op.Hint)
 	if m.isMutex() && m.owner != th {
-		k.stats.Faults++
 		k.exec.met.Inc(metrics.Faults)
 		k.trAdd(traceKindFault, th.TCB.Name, "cond-wait without "+m.name)
 		th.TCB.PC++
@@ -585,7 +578,6 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 			// now semaphore-blocked (and on whom).
 			k.trAdd(traceKindSemBlock, wTCB.Name, k.semBlockDetail(m))
 			if k.optHints {
-				k.stats.SavedSwitches++
 				k.exec.met.Inc(metrics.SavedSwitches)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
@@ -25,18 +26,17 @@ func critProg(sem int, pre, crit vtime.Duration) task.Program {
 // release no other task's acquire/grant of the same semaphore appears.
 func TestMutualExclusion(t *testing.T) {
 	for _, optimized := range []bool{false, true} {
-		tr := trace.New(1 << 16)
 		prof := costmodel.M68040()
-		k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: optimized, Trace: tr})
+		n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: !optimized, TraceCapacity: 1 << 16})
 		sem := k.NewSemaphore("m")
 		k.AddTask(task.Spec{Name: "hi", Period: 5 * vtime.Millisecond, Prog: critProg(sem, 0, vtime.Millisecond)})
 		k.AddTask(task.Spec{Name: "mid", Period: 8 * vtime.Millisecond, Prog: critProg(sem, 200*vtime.Microsecond, vtime.Millisecond)})
 		k.AddTask(task.Spec{Name: "lo", Period: 13 * vtime.Millisecond, Prog: critProg(sem, 400*vtime.Microsecond, vtime.Millisecond)})
-		boot(t, k)
+		boot(t, n)
 		k.Run(500 * vtime.Millisecond)
 
 		holder := ""
-		for _, e := range tr.Events() {
+		for _, e := range k.Trace().Events() {
 			switch e.Kind {
 			case trace.SemAcquire, trace.SemGrant:
 				if e.Detail == "m" {
@@ -66,7 +66,7 @@ func TestMutualExclusion(t *testing.T) {
 // With PI, hi's response stays near lo's critical-section length.
 func TestPriorityInheritanceBoundsInversion(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	sem := k.NewSemaphore("m")
 	hi := k.AddTask(task.Spec{
 		Name: "hi", Period: 20 * vtime.Millisecond, Phase: vtime.Millisecond,
@@ -80,7 +80,7 @@ func TestPriorityInheritanceBoundsInversion(t *testing.T) {
 		Name: "lo", Period: 100 * vtime.Millisecond,
 		Prog: critProg(sem, 0, 5*vtime.Millisecond),
 	})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	// hi blocks at ~1 ms on lo's lock (held until 5 ms). With PI, lo
 	// runs through mid, so hi completes by ~6 ms — well inside 20 ms.
@@ -98,7 +98,7 @@ func TestPriorityInheritanceBoundsInversion(t *testing.T) {
 func TestOptimizedSavesContextSwitch(t *testing.T) {
 	run := func(optimized bool) Stats {
 		prof := costmodel.M68040()
-		k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: optimized})
+		n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: !optimized})
 		sem := k.NewSemaphore("S")
 		ev := k.NewEvent("E")
 		wait := task.WaitEvent(ev)
@@ -117,7 +117,7 @@ func TestOptimizedSavesContextSwitch(t *testing.T) {
 			task.Compute(vtime.Millisecond),
 			task.Release(sem),
 		}})
-		boot(t, k)
+		boot(t, n)
 		k.Run(200 * vtime.Millisecond)
 		return k.Stats()
 	}
@@ -152,7 +152,7 @@ func TestSchemesPreserveCompletionTimes(t *testing.T) {
 	}
 	run := func(optimized bool) []result {
 		prof := costmodel.Zero()
-		k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: optimized})
+		n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: !optimized})
 		sem := k.NewSemaphore("S")
 		ev := k.NewEvent("E")
 		wait := task.WaitEvent(ev)
@@ -173,7 +173,7 @@ func TestSchemesPreserveCompletionTimes(t *testing.T) {
 		}})
 		k.AddTask(task.Spec{Name: "Tx", Period: 10 * vtime.Millisecond, Phase: 300 * vtime.Microsecond,
 			WCET: 2 * vtime.Millisecond})
-		boot(t, k)
+		boot(t, n)
 		k.Run(500 * vtime.Millisecond)
 		var out []result
 		for _, th := range k.Threads() {
@@ -195,7 +195,7 @@ func TestSchemesPreserveCompletionTimes(t *testing.T) {
 // slot.
 func TestThreeThreadPlaceholderCase(t *testing.T) {
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	sem := k.NewSemaphore("m")
 	t3 := k.AddTask(task.Spec{Name: "T3", Period: 10 * vtime.Millisecond, Phase: 2 * vtime.Millisecond,
 		Prog: critProg(sem, 0, 200*vtime.Microsecond)})
@@ -208,7 +208,7 @@ func TestThreeThreadPlaceholderCase(t *testing.T) {
 		k.AddTask(task.Spec{Period: vtime.Duration(30+i) * vtime.Millisecond, Phase: 10 * vtime.Second,
 			WCET: vtime.Microsecond})
 	}
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.Misses != 0 {
@@ -233,7 +233,7 @@ func TestThreeThreadPlaceholderCase(t *testing.T) {
 // boost from the still-held lock when releasing the other.
 func TestNestedLocksRestoreCorrectly(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	a := k.NewSemaphore("a")
 	b := k.NewSemaphore("b")
 	hiA := k.AddTask(task.Spec{Name: "hiA", Period: 20 * vtime.Millisecond, Phase: vtime.Millisecond,
@@ -250,7 +250,7 @@ func TestNestedLocksRestoreCorrectly(t *testing.T) {
 		task.Compute(2 * vtime.Millisecond),
 		task.Release(b),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if hiA.TCB.Misses != 0 || hiB.TCB.Misses != 0 {
 		t.Errorf("misses: hiA=%d hiB=%d", hiA.TCB.Misses, hiB.TCB.Misses)
@@ -268,7 +268,7 @@ func TestNestedLocksRestoreCorrectly(t *testing.T) {
 // priority through the chain.
 func TestTransitivePriorityInheritance(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: false})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true})
 	s1 := k.NewSemaphore("s1")
 	s2 := k.NewSemaphore("s2")
 	hi := k.AddTask(task.Spec{Name: "hi", Period: 30 * vtime.Millisecond, Phase: 2 * vtime.Millisecond,
@@ -287,7 +287,7 @@ func TestTransitivePriorityInheritance(t *testing.T) {
 		task.Compute(5 * vtime.Millisecond),
 		task.Release(s1),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(120 * vtime.Millisecond)
 	// Without transitive PI, "interferer" (higher priority than lo)
 	// would run its 20 ms before lo finishes the 5 ms critical section,
@@ -300,13 +300,13 @@ func TestTransitivePriorityInheritance(t *testing.T) {
 
 func TestReleaseOfUnheldSemaphoreIsFault(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sem := k.NewSemaphore("m")
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, Prog: task.Program{
 		task.Release(sem),
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(25 * vtime.Millisecond)
 	if k.Stats().Faults == 0 {
 		t.Error("bogus release not flagged")
@@ -319,7 +319,7 @@ func TestReleaseOfUnheldSemaphoreIsFault(t *testing.T) {
 
 func TestCountingSemaphore(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	pool := k.NewCountingSemaphore("pool", 2)
 	var resident [3]*Thread
 	for i := 0; i < 3; i++ {
@@ -330,7 +330,7 @@ func TestCountingSemaphore(t *testing.T) {
 			Prog:   critProg(pool, 0, 3*vtime.Millisecond),
 		})
 	}
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	// Two tokens, three 3 ms holders per 10 ms: all must complete (the
 	// third waits for a token, it doesn't deadlock).
@@ -343,13 +343,13 @@ func TestCountingSemaphore(t *testing.T) {
 
 func TestEventLatchesWhenNoWaiter(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	ev := k.NewEvent("e")
 	waiter := k.AddTask(task.Spec{Name: "w", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
 		Prog: task.Program{task.WaitEvent(ev), task.Compute(100 * vtime.Microsecond)}})
 	k.AddTask(task.Spec{Name: "s", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.SignalEvent(ev)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	// Signal fires at 0 with nobody waiting; the waiter at 1 ms must
 	// consume the latched event without blocking forever.
@@ -360,7 +360,7 @@ func TestEventLatchesWhenNoWaiter(t *testing.T) {
 
 func TestCondVarSignalAndBroadcast(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	m := k.NewSemaphore("m")
 	cv := k.NewCondVar("cv")
 	waitProg := task.Program{
@@ -377,7 +377,7 @@ func TestCondVarSignalAndBroadcast(t *testing.T) {
 			task.CondBroadcast(cv),
 			task.Release(m),
 		}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if w1.TCB.Completions < 4 || w2.TCB.Completions < 4 {
 		t.Errorf("completions: w1=%d w2=%d", w1.TCB.Completions, w2.TCB.Completions)
@@ -389,14 +389,14 @@ func TestCondVarSignalAndBroadcast(t *testing.T) {
 
 func TestCondWaitWithoutMutexIsFault(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	m := k.NewSemaphore("m")
 	cv := k.NewCondVar("cv")
 	k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, Prog: task.Program{
 		task.CondWait(cv, m), // never acquired m
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(25 * vtime.Millisecond)
 	if k.Stats().Faults == 0 {
 		t.Error("cond-wait without the mutex not flagged")
@@ -410,7 +410,7 @@ func TestCondWaitWithoutMutexIsFault(t *testing.T) {
 // semaphore.
 func TestPreAcquireQueueReblocks(t *testing.T) {
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	sem := k.NewSemaphore("S")
 	ev := k.NewEvent("E")
 	wait := task.WaitEvent(ev)
@@ -434,7 +434,7 @@ func TestPreAcquireQueueReblocks(t *testing.T) {
 		task.Compute(100 * vtime.Microsecond),
 		task.Release(sem),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(500*vtime.Microsecond), "E", func() { k.SignalEventISR(ev) })
 	k.Engine().At(vtime.Time(8*vtime.Millisecond), "E2", func() { k.SignalEventISR(ev2) })
 	k.Run(25 * vtime.Millisecond)
@@ -450,7 +450,7 @@ func TestPreAcquireQueueReblocks(t *testing.T) {
 
 func TestSemIntrospection(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	_, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sem := k.NewSemaphore("m")
 	if k.SemOwnerName(sem) != "" {
 		t.Error("fresh semaphore has an owner")
@@ -465,7 +465,7 @@ func TestSemIntrospection(t *testing.T) {
 // inheritance) rather than woken, and granted the lock at release.
 func TestCondSignalWhileMutexHeld(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	m := k.NewSemaphore("m")
 	cv := k.NewCondVar("cv")
 	waiter := k.AddTask(task.Spec{Name: "waiter", Period: 40 * vtime.Millisecond, Prog: task.Program{
@@ -482,7 +482,7 @@ func TestCondSignalWhileMutexHeld(t *testing.T) {
 		task.Compute(2 * vtime.Millisecond),
 		task.Release(m),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(160 * vtime.Millisecond)
 	if waiter.TCB.Completions < 2 || hog.TCB.Completions < 1 {
 		t.Errorf("completions: waiter=%d hog=%d", waiter.TCB.Completions, hog.TCB.Completions)
@@ -495,14 +495,14 @@ func TestCondSignalWhileMutexHeld(t *testing.T) {
 // TestCondSignalNoWaiterIsNoop.
 func TestCondSignalNoWaiterIsNoop(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	cv := k.NewCondVar("cv")
 	th := k.AddTask(task.Spec{Period: 10 * vtime.Millisecond, Prog: task.Program{
 		task.CondSignal(cv),
 		task.CondBroadcast(cv),
 		task.Compute(vtime.Millisecond),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(25 * vtime.Millisecond)
 	if th.TCB.Completions < 2 {
 		t.Errorf("completions = %d", th.TCB.Completions)
@@ -514,7 +514,7 @@ func TestCondSignalNoWaiterIsNoop(t *testing.T) {
 // and the acquire.
 func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
 	sem := k.NewSemaphore("S")
 	ev := k.NewEvent("E")
 	region := k.Memory().NewRegion("priv", 8) // never mapped: faults
@@ -526,7 +526,7 @@ func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
 		task.Acquire(sem),
 		task.Release(sem),
 	}})
-	boot(t, k)
+	boot(t, n)
 	k.Engine().At(vtime.Time(vtime.Millisecond), "E", func() { k.SignalEventISR(ev) })
 	k.Engine().At(vtime.Time(21*vtime.Millisecond), "E", func() { k.SignalEventISR(ev) })
 	k.Run(40 * vtime.Millisecond)
@@ -542,7 +542,7 @@ func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
 // TestAccessors: surface getters used by tools and examples.
 func TestAccessors(t *testing.T) {
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), Name: "nodeX"})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true, Name: "nodeX"})
 	if k.Name() != "nodeX" || k.Profile() != prof || k.Trace() != nil {
 		t.Error("accessors wrong")
 	}
@@ -553,7 +553,7 @@ func TestAccessors(t *testing.T) {
 	if th.Name() != "a" {
 		t.Error("thread name")
 	}
-	boot(t, k)
+	boot(t, n)
 	k.Run(2 * vtime.Millisecond)
 	if k.Current() != th {
 		t.Errorf("current = %v", k.Current())
@@ -570,7 +570,7 @@ func TestAccessors(t *testing.T) {
 // waiter, not FIFO.
 func TestGrantGoesToHighestPriorityWaiter(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof})
 	sem := k.NewSemaphore("m")
 	// lo-prio waiter arrives first (phase 1 ms), hi-prio second (2 ms);
 	// the holder releases at 5 ms.
@@ -580,7 +580,7 @@ func TestGrantGoesToHighestPriorityWaiter(t *testing.T) {
 		Prog: critProg(sem, 0, vtime.Millisecond)})
 	k.AddTask(task.Spec{Name: "holder", Period: 80 * vtime.Millisecond,
 		Prog: critProg(sem, 0, 5*vtime.Millisecond)})
-	boot(t, k)
+	boot(t, n)
 	k.Run(30 * vtime.Millisecond)
 	// hi must complete before loW despite arriving later.
 	if hi.TCB.Completions != 1 || loW.TCB.Completions != 1 {
@@ -598,10 +598,10 @@ func TestGrantGoesToHighestPriorityWaiter(t *testing.T) {
 // ready DP tasks (the cross-queue inversion of DESIGN.md §3.4).
 func TestCSDCrossQueuePIInKernel(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{
-		Profile:      prof,
-		Scheduler:    sched.NewCSD(prof, sched.Partition{DPSizes: []int{2}}),
-		OptimizedSem: true,
+	n, k := newNode(sim.Config{
+		Policy:  sim.PolicyCSD,
+		DPSizes: []int{2},
+		Profile: prof,
 	})
 	sem := k.NewSemaphore("m")
 	// DP tasks: the waiter and a CPU-hungry peer that would starve the
@@ -613,7 +613,7 @@ func TestCSDCrossQueuePIInKernel(t *testing.T) {
 	// FP holder: grabs the lock at t=0 for 4 ms.
 	k.AddTask(task.Spec{Name: "fp-holder", Period: 50 * vtime.Millisecond,
 		Prog: critProg(sem, 0, 4*vtime.Millisecond)})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	// Without migration the holder cannot run while dp-hungry is ready,
 	// so the waiter's first job would finish only after ~7 ms+4 ms and
@@ -631,7 +631,7 @@ func TestCSDCrossQueuePIInKernel(t *testing.T) {
 // and mid-critical-section faults must not leak the mutex.
 func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof), OptimizedSem: true})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
 	sem := k.NewSemaphore("m")
 	// Buggy task: acquires, never releases.
 	k.AddTask(task.Spec{Name: "buggy", Period: 20 * vtime.Millisecond, Prog: task.Program{
@@ -641,7 +641,7 @@ func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 	}})
 	victim := k.AddTask(task.Spec{Name: "victim", Period: 20 * vtime.Millisecond, Phase: 5 * vtime.Millisecond,
 		Prog: critProg(sem, 0, vtime.Millisecond)})
-	boot(t, k)
+	boot(t, n)
 	// Stop between buggy jobs (released at 80 ms, done by ~81 ms) so
 	// the ownership check is not observing a job in flight.
 	k.Run(95 * vtime.Millisecond)
@@ -659,7 +659,7 @@ func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 // TestFaultInsideCriticalSectionReleasesLock.
 func TestFaultInsideCriticalSectionReleasesLock(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sem := k.NewSemaphore("m")
 	region := k.Memory().NewRegion("priv", 8) // unmapped: faults
 	k.AddTask(task.Spec{Name: "crasher", Period: 20 * vtime.Millisecond, Prog: task.Program{
@@ -669,7 +669,7 @@ func TestFaultInsideCriticalSectionReleasesLock(t *testing.T) {
 	}})
 	victim := k.AddTask(task.Spec{Name: "victim", Period: 20 * vtime.Millisecond, Phase: 5 * vtime.Millisecond,
 		Prog: critProg(sem, 0, vtime.Millisecond)})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if victim.TCB.Completions < 4 {
 		t.Errorf("victim starved after crasher's fault: %d", victim.TCB.Completions)

@@ -4,18 +4,18 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
 func TestPollingServerServesAperiodics(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true})
 	ps := k.NewPollingServer("server", 10*vtime.Millisecond, 3*vtime.Millisecond)
 	// Background periodic load.
 	k.AddTask(task.Spec{Name: "bg", Period: 20 * vtime.Millisecond, WCET: 8 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	// A burst of three 1 ms requests at t = 2 ms.
 	k.Engine().At(vtime.Time(2*vtime.Millisecond), "burst", func() {
 		for i := 0; i < 3; i++ {
@@ -40,9 +40,9 @@ func TestPollingServerServesAperiodics(t *testing.T) {
 
 func TestPollingServerBudgetLimitsService(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true})
 	ps := k.NewPollingServer("server", 10*vtime.Millisecond, 2*vtime.Millisecond)
-	boot(t, k)
+	boot(t, n)
 	// A 5 ms request needs three server periods (2+2+1).
 	k.Engine().At(vtime.Time(vtime.Millisecond), "req", func() { ps.Submit(5 * vtime.Millisecond) })
 	k.Run(60 * vtime.Millisecond)
@@ -63,9 +63,9 @@ func TestPollingServerBudgetLimitsService(t *testing.T) {
 
 func TestPollingServerRejectsWhenFull(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true})
 	ps := k.NewPollingServer("server", 10*vtime.Millisecond, vtime.Millisecond)
-	boot(t, k)
+	boot(t, n)
 	accepted := 0
 	for i := 0; i < maxServerQueue+5; i++ {
 		if ps.Submit(vtime.Millisecond) {
@@ -88,14 +88,16 @@ func TestPollingServerCoexistsWithHardTasks(t *testing.T) {
 	// periodic tasks plus the server must keep every hard deadline
 	// while still bounding aperiodic response.
 	prof := costmodel.M68040()
-	k, _ := New(nil, Options{
-		Profile:   prof,
-		Scheduler: sched.NewCSD(prof, sched.Partition{DPSizes: []int{2}}),
+	n, k := newNode(sim.Config{
+		Policy:      sim.PolicyCSD,
+		DPSizes:     []int{2},
+		Profile:     prof,
+		StandardSem: true,
 	})
 	ps := k.NewPollingServer("server", 15*vtime.Millisecond, 2*vtime.Millisecond)
 	hard1 := k.AddTask(task.Spec{Name: "hard1", Period: 5 * vtime.Millisecond, WCET: vtime.Millisecond})
 	hard2 := k.AddTask(task.Spec{Name: "hard2", Period: 50 * vtime.Millisecond, WCET: 10 * vtime.Millisecond})
-	boot(t, k)
+	boot(t, n)
 	for i := 0; i < 10; i++ {
 		at := vtime.Time(vtime.Duration(3+i*17) * vtime.Millisecond)
 		k.Engine().At(at, "req", func() { ps.Submit(500 * vtime.Microsecond) })
@@ -118,7 +120,7 @@ func TestPollingServerCoexistsWithHardTasks(t *testing.T) {
 
 func TestPollingServerAccessors(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof)})
+	_, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: true})
 	ps := k.NewPollingServer("srv", 10*vtime.Millisecond, 20*vtime.Millisecond) // budget clamps to period
 	if ps.Budget() != 10*vtime.Millisecond {
 		t.Errorf("budget = %v, want clamped to the period", ps.Budget())

@@ -7,6 +7,7 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
@@ -59,21 +60,11 @@ func randomProgram(rng *rand.Rand, sems []int, states []int, mbox int) task.Prog
 	return prog
 }
 
-// buildStressKernel assembles one randomized system; identical seeds
-// must produce identical systems.
-func buildStressKernel(t *testing.T, seed int64, mkSched func(*costmodel.Profile) sched.Scheduler, optimized bool, tr *trace.Log) *Kernel {
-	t.Helper()
+// buildStressKernel assembles one randomized system on a node built
+// from cfg; identical seeds must produce identical systems.
+func buildStressKernel(seed int64, cfg sim.Config) (*Node, *Kernel) {
 	rng := rand.New(rand.NewSource(seed))
-	prof := costmodel.M68040()
-	k, err := New(nil, Options{
-		Profile:      prof,
-		Scheduler:    mkSched(prof),
-		OptimizedSem: optimized,
-		Trace:        tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, k := newNode(cfg)
 	sems := []int{k.NewSemaphore("s0"), k.NewSemaphore("s1"), k.NewSemaphore("s2")}
 	states := []int{k.NewStateMessage("st0", 3, 8), k.NewStateMessage("st1", 3, 8)}
 	mbox := k.NewMailbox("mb", 4)
@@ -98,7 +89,7 @@ func buildStressKernel(t *testing.T, seed int64, mkSched func(*costmodel.Profile
 			task.Compute(20 * vtime.Microsecond),
 		},
 	})
-	return k
+	return n, k
 }
 
 // TestKernelStressRandom runs many random systems under every scheduler
@@ -106,19 +97,18 @@ func buildStressKernel(t *testing.T, seed int64, mkSched func(*costmodel.Profile
 // conservation laws after each run. Any panic, queue corruption or
 // accounting drift fails.
 func TestKernelStressRandom(t *testing.T) {
-	schedulers := map[string]func(*costmodel.Profile) sched.Scheduler{
-		"EDF":     func(p *costmodel.Profile) sched.Scheduler { return sched.NewEDF(p) },
-		"RM":      func(p *costmodel.Profile) sched.Scheduler { return sched.NewRM(p) },
-		"RM-heap": func(p *costmodel.Profile) sched.Scheduler { return sched.NewRMHeap(p) },
-		"CSD-3": func(p *costmodel.Profile) sched.Scheduler {
-			return sched.NewCSD(p, sched.Partition{DPSizes: []int{2, 2}})
-		},
+	schedulers := map[string]sim.Config{
+		"EDF":     {Policy: sim.PolicyEDF},
+		"RM":      {Policy: sim.PolicyRM},
+		"RM-heap": {Policy: sim.PolicyRMHeap},
+		"CSD-3":   {Policy: sim.PolicyCSD, DPSizes: []int{2, 2}},
 	}
-	for name, mk := range schedulers {
+	for name, cfg := range schedulers {
 		for _, optimized := range []bool{false, true} {
+			cfg.StandardSem = !optimized
 			for seed := int64(1); seed <= 12; seed++ {
-				k := buildStressKernel(t, seed, mk, optimized, nil)
-				boot(t, k)
+				n, k := buildStressKernel(seed, cfg)
+				boot(t, n)
 				k.Run(300 * vtime.Millisecond)
 				st := k.Stats()
 				label := fmt.Sprintf("%s/opt=%v/seed=%d", name, optimized, seed)
@@ -164,13 +154,11 @@ func TestKernelStressRandom(t *testing.T) {
 func TestKernelStressDeterminism(t *testing.T) {
 	for _, optimized := range []bool{false, true} {
 		run := func() []trace.Event {
-			tr := trace.New(1 << 15)
-			k := buildStressKernel(t, 42, func(p *costmodel.Profile) sched.Scheduler {
-				return sched.NewCSD(p, sched.Partition{DPSizes: []int{2, 2}})
-			}, optimized, tr)
-			boot(t, k)
+			n, k := buildStressKernel(42, sim.Config{Policy: sim.PolicyCSD, DPSizes: []int{2, 2},
+				StandardSem: !optimized, TraceCapacity: 1 << 15})
+			boot(t, n)
 			k.Run(300 * vtime.Millisecond)
-			return tr.Events()
+			return k.Trace().Events()
 		}
 		a, b := run(), run()
 		if len(a) != len(b) {
@@ -193,7 +181,7 @@ func TestKernelStressSchemeEquivalence(t *testing.T) {
 		counts := func(optimized bool) []uint64 {
 			prof := costmodel.Zero()
 			rng := rand.New(rand.NewSource(seed))
-			k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewRM(prof), OptimizedSem: optimized})
+			n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: !optimized})
 			sems := []int{k.NewSemaphore("s0"), k.NewSemaphore("s1"), k.NewSemaphore("s2")}
 			states := []int{k.NewStateMessage("st0", 3, 8)}
 			nTasks := 4 + rng.Intn(5)
@@ -204,7 +192,7 @@ func TestKernelStressSchemeEquivalence(t *testing.T) {
 					Prog:   randomProgram(rng, sems, states, -1),
 				})
 			}
-			boot(t, k)
+			boot(t, n)
 			k.Run(400 * vtime.Millisecond)
 			out := make([]uint64, len(k.Threads()))
 			for i, th := range k.Threads() {

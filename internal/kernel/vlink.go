@@ -70,8 +70,6 @@ func (k *Kernel) doVSend(th *Thread, op task.Op) {
 		return
 	}
 	accepted := vl.q.PushBatch(ipc.Msg{Val: op.Val, Size: op.Size}, n)
-	k.stats.VLinkMsgs += uint64(accepted)
-	k.stats.VLinkDropped += uint64(n - accepted)
 	th.TCB.PC++
 	for i := 0; i < accepted; i++ {
 		k.trAdd(traceKindVLinkSend, th.TCB.Name, vl.q.Name)
@@ -146,7 +144,6 @@ func (k *Kernel) completePendingVSends(vl *kvlink) bool {
 				break
 			}
 			vl.q.PushBatch(ipc.Msg{Val: op.Val, Size: op.Size}, n)
-			k.stats.VLinkMsgs += uint64(n)
 			k.charge(k.prof.VLinkTransfer(op.Size, n), &k.stats.IPCCharge)
 			sTCB.PC++
 			for i := 0; i < n; i++ {

@@ -4,20 +4,20 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
 func TestVLinkKernelProducerConsumer(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	vl := k.NewVLink("q", 4, false)
 	cons := k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.VRecv(vl), task.Compute(100 * vtime.Microsecond)}})
 	k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond, Phase: 2 * vtime.Millisecond,
 		Prog: task.Program{task.Compute(100 * vtime.Microsecond), task.VSend(vl, 77, 8, 1)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if cons.TCB.Completions < 9 {
 		t.Errorf("consumer completed %d jobs", cons.TCB.Completions)
@@ -38,7 +38,7 @@ func TestVLinkKernelProducerConsumer(t *testing.T) {
 // around a competing producer.
 func TestVLinkKernelBatchAllOrNothing(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	vl := k.NewVLink("q", 4, false)
 	snd := k.AddTask(task.Spec{Name: "snd", Period: 20 * vtime.Millisecond,
 		Prog: task.Program{task.VSend(vl, 1, 8, 3), task.VSend(vl, 2, 8, 3)}})
@@ -48,7 +48,7 @@ func TestVLinkKernelBatchAllOrNothing(t *testing.T) {
 			task.Compute(100 * vtime.Microsecond),
 			task.VRecv(vl), task.VRecv(vl), task.VRecv(vl),
 		}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	if snd.TCB.Completions < 4 || rcv.TCB.Completions < 4 {
 		t.Errorf("completions: snd=%d rcv=%d", snd.TCB.Completions, rcv.TCB.Completions)
@@ -68,14 +68,14 @@ func TestVLinkKernelBatchAllOrNothing(t *testing.T) {
 // messages are counted, and the kernel stats mirror the queue counter.
 func TestVLinkKernelDropMode(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	vl := k.NewVLink("q", 2, true)
 	snd := k.AddTask(task.Spec{Name: "snd", Period: 5 * vtime.Millisecond,
 		Prog: task.Program{task.VSend(vl, 9, 8, 4)}})
 	// A slow consumer takes one message per period.
 	k.AddTask(task.Spec{Name: "rcv", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
 		Prog: task.Program{task.VRecv(vl)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	// The sender must never have blocked: every period completes.
 	if snd.TCB.Completions < 19 {
@@ -97,7 +97,7 @@ func TestVLinkKernelDropMode(t *testing.T) {
 // link; every produced message is consumed exactly once.
 func TestVLinkKernelMPMCFanInFanOut(t *testing.T) {
 	prof := costmodel.Zero()
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	vl := k.NewVLink("q", 8, false)
 	for i := 0; i < 2; i++ {
 		k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond,
@@ -110,7 +110,7 @@ func TestVLinkKernelMPMCFanInFanOut(t *testing.T) {
 			Phase: vtime.Duration(4+i) * vtime.Millisecond,
 			Prog:  task.Program{task.VRecv(vl), task.VRecv(vl)}})
 	}
-	boot(t, k)
+	boot(t, n)
 	k.Run(100 * vtime.Millisecond)
 	st := k.Stats()
 	if st.VLinkMsgs < 36 {
@@ -138,13 +138,13 @@ func TestVLinkKernelChargesIPC(t *testing.T) {
 	if got, sm := prof.VLinkTransfer(32, 1), prof.StateMsgTransfer(32); got <= sm {
 		t.Fatalf("vlink transfer %v not pricier than state message %v", got, sm)
 	}
-	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	vl := k.NewVLink("q", 4, false)
 	k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{task.VSend(vl, 1, 32, 2)}})
 	k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
 		Prog: task.Program{task.VRecv(vl), task.VRecv(vl)}})
-	boot(t, k)
+	boot(t, n)
 	k.Run(50 * vtime.Millisecond)
 	if k.Stats().IPCCharge == 0 {
 		t.Error("no IPC charge booked for vlink traffic")

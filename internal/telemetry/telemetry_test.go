@@ -5,16 +5,17 @@ import (
 	"runtime"
 	"testing"
 
-	"emeralds/internal/core"
+	"emeralds/internal/kernel"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
 // sampledRun boots a small periodic workload with a recorder attached
 // and returns the recorder plus the system.
-func sampledRun(t *testing.T, cfg Config, cpus int, horizon vtime.Duration) (*Recorder, *core.System) {
+func sampledRun(t *testing.T, cfg Config, cpus int, horizon vtime.Duration) (*Recorder, *kernel.Node) {
 	t.Helper()
-	sys := core.New(core.Config{Policy: core.PolicyEDF, CPUs: cpus})
+	sys := kernel.NewNode(sim.Config{Policy: sim.PolicyEDF, CPUs: cpus})
 	sys.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "b", Period: 25 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 	sys.AddTask(task.Spec{Name: "c", Period: 50 * vtime.Millisecond, WCET: 8 * vtime.Millisecond})
@@ -99,7 +100,7 @@ func TestRingOverwrite(t *testing.T) {
 // kernel stats with and without sampling are identical.
 func TestSamplingDoesNotPerturb(t *testing.T) {
 	run := func(sample bool) interface{} {
-		sys := core.New(core.Config{Policy: core.PolicyEDF, CPUs: 2})
+		sys := kernel.NewNode(sim.Config{Policy: sim.PolicyEDF, CPUs: 2})
 		sys.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 2 * vtime.Millisecond})
 		sys.AddTask(task.Spec{Name: "b", Period: 25 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 		if sample {
@@ -142,7 +143,7 @@ func TestSeriesDeterministic(t *testing.T) {
 }
 
 func TestAttachRejectsBadConfig(t *testing.T) {
-	sys := core.New(core.Config{})
+	sys := kernel.NewNode(sim.Config{})
 	if _, err := Attach(sys.Kernel(), Config{}); err == nil {
 		t.Error("zero interval accepted")
 	}

@@ -22,6 +22,13 @@ go build ./...
 echo "== go test -race (short) =="
 go test -race -short ./...
 
+echo "== perfbench replicas and goldens =="
+# perfbench is its own module, so ./... above never reaches it. Its
+# tests pin the benchmark's replicas of library code and the seed-1 and
+# seed-7919 output goldens (which hash kernel.Stats) against the
+# library as it stands.
+(cd perfbench && go test ./...)
+
 echo "== artifact + trace smoke =="
 # Round-trip the observability pipeline: emsim writes an artifact and a
 # Perfetto trace, emtrace validates both shapes (full counter set,
@@ -114,11 +121,12 @@ grep -q '"schema": "emeralds.bench/v1"' "$tmp/bench.json"
 echo "== allocation smoke gate =="
 # The zero-alloc contracts behind the hot-path redesign, pinned with
 # testing.AllocsPerRun: event dispatch off the timer wheel, bitmap
-# queue push/pop, the FP scheduler's select, and the instrumented CSD
-# select. A steady-state allocation anywhere on these paths fails here
-# before it can show up as a bench regression.
+# queue push/pop, the FP scheduler's select, the instrumented CSD
+# select, and Kernel.Stats summing the per-CPU counter shards (called
+# on every telemetry tick). A steady-state allocation anywhere on these
+# paths fails here before it can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
-    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/
+    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/
 
 echo "== bench regression gate =="
 # Committed full-run numbers: this PR's BENCH file vs the previous
