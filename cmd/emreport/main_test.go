@@ -120,3 +120,28 @@ func TestCSVOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedTraceFileRefused: -trace on a raw log whose events carry
+// a negative cpu or dur fails with an error naming the event, instead
+// of panicking in the replay or reporting negative overhead.
+func TestMalformedTraceFileRefused(t *testing.T) {
+	for name, doc := range map[string]string{
+		"negative-cpu": `{"schema":"emeralds.trace/v1","total":2,"dropped":0,"events":[` +
+			`{"at":0,"kind":"release","task":"a"},{"at":0,"kind":"dispatch","task":"a","cpu":-1},` +
+			`{"at":1000,"kind":"complete","task":"a","cpu":-1}]}`,
+		"negative-dur": `{"schema":"emeralds.trace/v1","total":3,"dropped":0,"events":[` +
+			`{"at":0,"kind":"release","task":"a"},{"at":0,"kind":"dispatch","task":"a"},` +
+			`{"at":1000,"kind":"complete","task":"a","dur":-700}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := analyzeFile(path)
+		if err == nil {
+			t.Errorf("%s: analyzeFile accepted it: %+v", name, rep)
+		} else if !strings.Contains(err.Error(), "event ") {
+			t.Errorf("%s: error %q does not name the event", name, err)
+		}
+	}
+}

@@ -241,7 +241,8 @@ var ErrTruncated = errors.New("attrib: trace ring overflowed; attribution over a
 
 // Analyze replays a trace into per-activation attribution. dropped is
 // the trace ring's overwrite count (trace.Log.Dropped or the raw JSON
-// header); any non-zero value is refused with ErrTruncated.
+// header); any non-zero value is refused with ErrTruncated. Events
+// must be in time order and name non-negative CPUs.
 func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 	if dropped > 0 {
 		return nil, fmt.Errorf("%w (%d events dropped)", ErrTruncated, dropped)
@@ -259,6 +260,9 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 	for i, e := range events {
 		if e.At < last {
 			return nil, fmt.Errorf("attrib: event %d (%v %s) goes backwards in time", i, e.Kind, e.Task)
+		}
+		if e.CPU < 0 {
+			return nil, fmt.Errorf("attrib: event %d (%v %s) names negative cpu %d", i, e.Kind, e.Task, e.CPU)
 		}
 		last = e.At
 		r.step(e)

@@ -11,6 +11,7 @@ import (
 	"emeralds/internal/kernel"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
@@ -353,5 +354,18 @@ func TestTruncatedTraceRefused(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(err), fmt.Sprint(log.Dropped())) {
 		t.Errorf("error does not name the dropped count: %v", err)
+	}
+}
+
+// TestNegativeCPURefused: an in-memory event naming a negative CPU is
+// an error, not an index panic in the per-CPU replay state.
+func TestNegativeCPURefused(t *testing.T) {
+	events := []trace.Event{
+		{At: 0, Kind: trace.Release, Task: "a"},
+		{At: 1, Kind: trace.Dispatch, Task: "a", CPU: -1},
+	}
+	an, err := attrib.Analyze(events, 0)
+	if err == nil || !strings.Contains(err.Error(), "event 1 ") {
+		t.Fatalf("Analyze(cpu -1) = %v, %v; want an error naming event 1", an, err)
 	}
 }

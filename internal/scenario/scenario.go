@@ -128,9 +128,10 @@ func (s *Scenario) InversionClean() bool {
 	return true
 }
 
-// TraceCapacity sizes the trace ring for the scenario's horizon with
+// TraceCapacity bounds the trace ring for the scenario's horizon with
 // ample margin, so attribution — which refuses truncated traces — never
-// sees a dropped event on a campaign run.
+// sees a dropped event on a campaign run. The margin costs no memory:
+// the ring grows only as far as the run records.
 func (s *Scenario) TraceCapacity() int {
 	events := 64 // boot task-info lines and slack
 	for _, t := range s.Tasks {

@@ -71,7 +71,9 @@ type Config struct {
 	// RecordResponses keeps per-task latency histograms; Report then
 	// shows p50/p95/p99 alongside avg/max.
 	RecordResponses bool
-	// TraceCapacity > 0 enables execution tracing with that ring size.
+	// TraceCapacity > 0 enables execution tracing, retaining at most
+	// that many of the most recent events. It is a bound, not an
+	// up-front allocation: the ring grows with the events recorded.
 	TraceCapacity int
 
 	// Engine shares a discrete-event engine across nodes; nil creates

@@ -39,17 +39,51 @@ type RawLog struct {
 	Events  []RawEvent `json:"events"`
 }
 
-// Raw converts the retained events to their serializable form.
-func (l *Log) Raw() RawLog {
-	evs := l.Events()
-	out := RawLog{Schema: RawSchema, Total: l.Total(), Dropped: l.Dropped(), Events: make([]RawEvent, len(evs))}
-	for i, e := range evs {
-		out.Events[i] = RawEvent{
-			At: int64(e.At), Kind: e.Kind.String(), Task: e.Task,
-			Detail: e.Detail, Dur: int64(e.Dur), CPU: e.CPU,
+// writeRaw streams the retained events as a RawLog object, byte for
+// byte what encoding/json writes for one (struct fields in declaration
+// order, omitempty members left out). Log.ExportJSON and the Perfetto
+// export's embedded block both use it.
+func (l *Log) writeRaw(j *jsonWriter) {
+	j.lit(`{"schema":`)
+	j.str(RawSchema)
+	j.lit(`,"total":`)
+	j.unum(l.Total())
+	j.lit(`,"dropped":`)
+	j.unum(l.Dropped())
+	j.lit(`,"events":[`)
+	older, newer := l.segments()
+	sep := ""
+	for _, seg := range [2][]Event{older, newer} {
+		for i := range seg {
+			if j.err != nil {
+				return
+			}
+			e := &seg[i]
+			j.lit(sep)
+			sep = ","
+			j.lit(`{"at":`)
+			j.num(int64(e.At))
+			j.lit(`,"kind":`)
+			j.str(e.Kind.String())
+			j.lit(`,"task":`)
+			j.str(e.Task)
+			if e.Detail != "" {
+				j.lit(`,"detail":`)
+				j.str(e.Detail)
+			}
+			if e.Dur != 0 {
+				j.lit(`,"dur":`)
+				j.num(int64(e.Dur))
+			}
+			if e.CPU != 0 {
+				j.lit(`,"cpu":`)
+				j.num(int64(e.CPU))
+			}
+			j.lit("}")
+			j.maybeFlush()
 		}
 	}
-	return out
+	j.lit("]}")
 }
 
 // ExportJSON writes the retained events as versioned raw-trace JSON.
@@ -57,7 +91,10 @@ func (l *Log) ExportJSON(w io.Writer) error {
 	if l == nil {
 		return fmt.Errorf("trace: nil log")
 	}
-	return json.NewEncoder(w).Encode(l.Raw())
+	j := newJSONWriter(w)
+	l.writeRaw(&j)
+	j.lit("\n")
+	return j.flush()
 }
 
 // kindByName inverts kindNames; built once, read-only afterwards.
@@ -70,8 +107,9 @@ var kindByName = func() map[string]Kind {
 }()
 
 // Decode converts a RawLog back to events, rejecting unknown schemas
-// and kinds. The dropped count travels with the result so consumers
-// can refuse (or warn about) truncated traces.
+// and kinds, negative CPUs and negative durations. The dropped count
+// travels with the result so consumers can refuse (or warn about)
+// truncated traces.
 func (r RawLog) Decode() (events []Event, dropped uint64, err error) {
 	if r.Schema != RawSchema {
 		return nil, 0, fmt.Errorf("trace: schema %q, want %q", r.Schema, RawSchema)
@@ -81,6 +119,12 @@ func (r RawLog) Decode() (events []Event, dropped uint64, err error) {
 		k, ok := kindByName[re.Kind]
 		if !ok {
 			return nil, 0, fmt.Errorf("trace: event %d has unknown kind %q", i, re.Kind)
+		}
+		if re.CPU < 0 {
+			return nil, 0, fmt.Errorf("trace: event %d has negative cpu %d", i, re.CPU)
+		}
+		if re.Dur < 0 {
+			return nil, 0, fmt.Errorf("trace: event %d has negative dur %d", i, re.Dur)
 		}
 		events[i] = Event{
 			At: vtime.Time(re.At), Kind: k, Task: re.Task,

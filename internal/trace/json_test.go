@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"emeralds/internal/vtime"
@@ -105,10 +106,15 @@ func TestParseJSONRejectsGarbage(t *testing.T) {
 		"bad-schema":   `{"schema": "emeralds.trace/v999", "events": []}`,
 		"bad-kind":     `{"schema": "emeralds.trace/v1", "events": [{"at":0,"kind":"warp","task":"a"}]}`,
 		"perfetto-raw": `{"traceEvents": [{"ph":"M"}]}`,
+		"negative-cpu": `{"schema": "emeralds.trace/v1", "events": [{"at":0,"kind":"dispatch","task":"a"},{"at":1,"kind":"dispatch","task":"a","cpu":-1}]}`,
+		"negative-dur": `{"schema": "emeralds.trace/v1", "events": [{"at":0,"kind":"dispatch","task":"a"},{"at":1,"kind":"complete","task":"a","dur":-700}]}`,
 	}
 	for name, doc := range cases {
-		if _, _, err := ParseJSON([]byte(doc)); err == nil {
+		_, _, err := ParseJSON([]byte(doc))
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		} else if strings.HasPrefix(name, "negative-") && !strings.Contains(err.Error(), "event 1 ") {
+			t.Errorf("%s: error %q does not name the event index", name, err)
 		}
 	}
 }
@@ -132,4 +138,18 @@ func TestDroppedTravelsThroughJSON(t *testing.T) {
 	if dropped != 3 {
 		t.Errorf("dropped = %d, want 3", dropped)
 	}
+}
+
+// refRaw builds the RawLog of l's retained events with encoding/json's
+// types: the reference the streamed raw block is compared against.
+func refRaw(l *Log) RawLog {
+	evs := l.Events()
+	out := RawLog{Schema: RawSchema, Total: l.Total(), Dropped: l.Dropped(), Events: make([]RawEvent, len(evs))}
+	for i, e := range evs {
+		out.Events[i] = RawEvent{
+			At: int64(e.At), Kind: e.Kind.String(), Task: e.Task,
+			Detail: e.Detail, Dur: int64(e.Dur), CPU: e.CPU,
+		}
+	}
+	return out
 }

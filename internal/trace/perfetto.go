@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -31,20 +30,23 @@ import (
 //
 // Timestamps are microseconds (the trace-event unit); virtual time is
 // nanoseconds, so sub-microsecond costs keep three decimal places.
-// Each JSON object is a map, and encoding/json orders map keys
-// lexically, so the export is byte-deterministic for a given event
-// sequence.
+//
+// The document is streamed through a jsonWriter, one object at a time,
+// reading the events in place. Each object kind writes its keys in
+// lexical order, the order encoding/json gives map keys, so the export
+// is byte-identical to encoding one map per trace event and
+// byte-deterministic for a given event sequence.
 
-// perfettoExporter accumulates trace-event objects.
-type perfettoExporter struct {
-	events []map[string]any
-	multi  bool           // per-CPU processes (any event names a CPU > 0)
-	tids   map[tidKey]int // (pid, task) → track id
-	ntids  int
-	cur    []string     // per-CPU: task owning the open run slice, "" when idle
-	start  []vtime.Time // per-CPU: open slice's start
-	nextID int          // flow-event id allocator
-	flows  map[string][]int
+// perfettoWriter streams trace-event objects.
+type perfettoWriter struct {
+	jsonWriter
+	n      int              // trace-event objects written so far
+	multi  bool             // per-CPU processes (any event names a CPU > 0)
+	tids   map[tidKey]int   // (pid, task) → track id
+	cur    []string         // per-CPU: task owning the open run slice, "" when idle
+	start  []vtime.Time     // per-CPU: open slice's start
+	nextID int              // flow-event id allocator
+	flows  map[string][]int // pending sem-grant flow ids per waiter
 	hops   map[string][]int // open migrate→migrate-done flow ids per task
 }
 
@@ -55,77 +57,154 @@ type tidKey struct {
 
 func us(t vtime.Time) float64 { return float64(t) / 1e3 }
 
+func newPerfettoWriter(w io.Writer) *perfettoWriter {
+	return &perfettoWriter{
+		jsonWriter: newJSONWriter(w),
+		tids:       map[tidKey]int{},
+		flows:      map[string][]int{},
+		hops:       map[string][]int{},
+	}
+}
+
 // pid maps a CPU to its Perfetto process: the classic single process
 // for single-CPU traces, one process per CPU otherwise.
-func (p *perfettoExporter) pid(cpu int) int {
+func (p *perfettoWriter) pid(cpu int) int {
 	if !p.multi {
 		return 1
 	}
 	return cpu + 1
 }
 
+// begin opens the next element of the traceEvents array.
+func (p *perfettoWriter) begin() {
+	if p.n > 0 {
+		p.lit(",")
+	}
+	p.n++
+	p.lit("{")
+}
+
+// end closes the element begin opened.
+func (p *perfettoWriter) end() {
+	p.lit("}")
+	p.maybeFlush()
+}
+
+// track appends the "pid" and "tid" members, which sort together in
+// every object kind but the instant.
+func (p *perfettoWriter) track(pid, tid int) {
+	p.lit(`,"pid":`)
+	p.num(int64(pid))
+	p.lit(`,"tid":`)
+	p.num(int64(tid))
+}
+
 // tid returns the stable per-(process, task) track id, emitting the
-// thread_name metadata event on first use.
-func (p *perfettoExporter) tid(pid int, task string) int {
+// thread_name metadata event on first use. Callers resolve the id
+// before opening their own object, so the metadata precedes it.
+func (p *perfettoWriter) tid(pid int, task string) int {
 	key := tidKey{pid, task}
 	if id, ok := p.tids[key]; ok {
 		return id
 	}
-	p.ntids++
-	id := p.ntids
+	id := len(p.tids) + 1
 	p.tids[key] = id
-	p.events = append(p.events, map[string]any{
-		"ph": "M", "name": "thread_name", "pid": pid, "tid": id,
-		"args": map[string]any{"name": task},
-	})
+	p.begin()
+	p.lit(`"args":{"name":`)
+	p.str(task)
+	p.lit(`},"name":"thread_name","ph":"M"`)
+	p.track(pid, id)
+	p.end()
 	return id
 }
 
-func (p *perfettoExporter) closeSlice(cpu int, at vtime.Time) {
-	if p.cur[cpu] == "" {
+func (p *perfettoWriter) closeSlice(cpu int, at vtime.Time) {
+	task := p.cur[cpu]
+	if task == "" {
 		return
 	}
-	p.events = append(p.events, map[string]any{
-		"ph": "X", "name": "run", "cat": "task",
-		"pid": p.pid(cpu), "tid": p.tid(p.pid(cpu), p.cur[cpu]),
-		"ts": us(p.start[cpu]), "dur": us(at) - us(p.start[cpu]),
-	})
+	pid := p.pid(cpu)
+	tid := p.tid(pid, task)
+	p.begin()
+	p.lit(`"cat":"task","dur":`)
+	p.float(us(at) - us(p.start[cpu]))
+	p.lit(`,"name":"run","ph":"X"`)
+	p.track(pid, tid)
+	p.lit(`,"ts":`)
+	p.float(us(p.start[cpu]))
+	p.end()
 	p.cur[cpu] = ""
 }
 
-func (p *perfettoExporter) instant(e Event) {
-	ev := map[string]any{
-		"ph": "i", "s": "t", "name": e.Kind.String(), "cat": "kernel",
-		"pid": p.pid(e.CPU), "tid": p.tid(p.pid(e.CPU), e.Task), "ts": us(e.At),
+// flow writes one end of a flow arrow on task's track: ph 's' starts
+// arrow id, ph 'f' lands it on the enclosing slice ("bp":"e"). name and
+// cat are literals that need no escaping.
+func (p *perfettoWriter) flow(ph string, id int, name, cat string, cpu int, task string, at vtime.Time) {
+	pid := p.pid(cpu)
+	tid := p.tid(pid, task)
+	p.begin()
+	if ph == "f" {
+		p.lit(`"bp":"e",`)
 	}
-	args := map[string]any{}
-	if e.Detail != "" {
-		args["detail"] = e.Detail
-	}
-	if e.Dur != 0 {
-		// Occupancy-end events carry the kernel overhead consumed during
-		// the quantum they close (see Event.Dur).
-		args["overhead_us"] = float64(e.Dur) / 1e3
-	}
-	if len(args) > 0 {
-		ev["args"] = args
-	}
-	p.events = append(p.events, ev)
+	p.lit(`"cat":"`)
+	p.lit(cat)
+	p.lit(`","id":`)
+	p.num(int64(id))
+	p.lit(`,"name":"`)
+	p.lit(name)
+	p.lit(`","ph":"`)
+	p.lit(ph)
+	p.lit(`"`)
+	p.track(pid, tid)
+	p.lit(`,"ts":`)
+	p.float(us(at))
+	p.end()
 }
 
-func (p *perfettoExporter) add(e Event) {
+func (p *perfettoWriter) instant(e *Event) {
+	pid := p.pid(e.CPU)
+	tid := p.tid(pid, e.Task)
+	p.begin()
+	if e.Detail != "" || e.Dur != 0 {
+		p.lit(`"args":{`)
+		if e.Detail != "" {
+			p.lit(`"detail":`)
+			p.str(e.Detail)
+			if e.Dur != 0 {
+				p.lit(",")
+			}
+		}
+		if e.Dur != 0 {
+			// Occupancy-end events carry the kernel overhead consumed during
+			// the quantum they close (see Event.Dur).
+			p.lit(`"overhead_us":`)
+			p.float(float64(e.Dur) / 1e3)
+		}
+		p.lit("},")
+	}
+	p.lit(`"cat":"kernel","name":`)
+	p.str(e.Kind.String())
+	p.lit(`,"ph":"i","pid":`)
+	p.num(int64(pid))
+	p.lit(`,"s":"t","tid":`)
+	p.num(int64(tid))
+	p.lit(`,"ts":`)
+	p.float(us(e.At))
+	p.end()
+}
+
+func (p *perfettoWriter) add(e *Event) {
 	c := e.CPU
 	switch e.Kind {
 	case Dispatch:
 		p.closeSlice(c, e.At)
 		// Close pending grant→dispatch flow arrows landing here.
-		for _, id := range p.flows[e.Task] {
-			p.events = append(p.events, map[string]any{
-				"ph": "f", "bp": "e", "id": id, "name": "sem-grant", "cat": "sem",
-				"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-			})
+		if ids := p.flows[e.Task]; len(ids) > 0 {
+			for _, id := range ids {
+				p.flow("f", id, "sem-grant", "sem", c, e.Task, e.At)
+			}
+			p.flows[e.Task] = ids[:0]
 		}
-		delete(p.flows, e.Task)
 		p.cur[c] = e.Task
 		p.start[c] = e.At
 	case Idle:
@@ -142,20 +221,16 @@ func (p *perfettoExporter) add(e Event) {
 			p.closeSlice(c, e.At)
 		}
 		p.nextID++
-		p.events = append(p.events, map[string]any{
-			"ph": "s", "id": p.nextID, "name": "migrate", "cat": "sched",
-			"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-		})
+		p.flow("s", p.nextID, "migrate", "sched", c, e.Task, e.At)
 		p.hops[e.Task] = append(p.hops[e.Task], p.nextID)
 		p.instant(e)
 	case MigrateDone:
-		for _, id := range p.hops[e.Task] {
-			p.events = append(p.events, map[string]any{
-				"ph": "f", "bp": "e", "id": id, "name": "migrate", "cat": "sched",
-				"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-			})
+		if ids := p.hops[e.Task]; len(ids) > 0 {
+			for _, id := range ids {
+				p.flow("f", id, "migrate", "sched", c, e.Task, e.At)
+			}
+			p.hops[e.Task] = ids[:0]
 		}
-		delete(p.hops, e.Task)
 		p.instant(e)
 	case SemGrant:
 		// The grant executes on the releasing task's track (the one
@@ -165,10 +240,7 @@ func (p *perfettoExporter) add(e Event) {
 		if from == "" {
 			from = e.Task
 		}
-		p.events = append(p.events, map[string]any{
-			"ph": "s", "id": p.nextID, "name": "sem-grant", "cat": "sem",
-			"pid": p.pid(c), "tid": p.tid(p.pid(c), from), "ts": us(e.At),
-		})
+		p.flow("s", p.nextID, "sem-grant", "sem", c, from, e.At)
 		p.flows[e.Task] = append(p.flows[e.Task], p.nextID)
 		p.instant(e)
 	default:
@@ -176,55 +248,56 @@ func (p *perfettoExporter) add(e Event) {
 	}
 }
 
-// perfettoDoc builds the trace-event document for an event sequence.
-// extra keys (e.g. the embedded raw log) are merged in at the top
-// level; Chrome and Perfetto ignore keys they do not know.
-func buildPerfettoDoc(events []Event, extra map[string]any) map[string]any {
+// traceEvents writes the "traceEvents" member for the events of segs,
+// which together form one chronological sequence.
+func (p *perfettoWriter) traceEvents(segs ...[]Event) {
 	maxCPU := 0
-	for _, e := range events {
-		if e.CPU > maxCPU {
-			maxCPU = e.CPU
+	for _, seg := range segs {
+		for i := range seg {
+			maxCPU = max(maxCPU, seg[i].CPU)
 		}
 	}
-	p := &perfettoExporter{
-		multi: maxCPU > 0,
-		tids:  map[tidKey]int{},
-		cur:   make([]string, maxCPU+1),
-		start: make([]vtime.Time, maxCPU+1),
-		flows: map[string][]int{},
-		hops:  map[string][]int{},
-	}
+	p.multi = maxCPU > 0
+	p.cur = make([]string, maxCPU+1)
+	p.start = make([]vtime.Time, maxCPU+1)
+	p.lit(`"traceEvents":[`)
 	if p.multi {
 		for c := 0; c <= maxCPU; c++ {
-			p.events = append(p.events, map[string]any{
-				"ph": "M", "name": "process_name", "pid": p.pid(c),
-				"args": map[string]any{"name": fmt.Sprintf("emeralds cpu%d", c)},
-			})
+			p.begin()
+			p.lit(`"args":{"name":"emeralds cpu`)
+			p.num(int64(c))
+			p.lit(`"},"name":"process_name","ph":"M","pid":`)
+			p.num(int64(p.pid(c)))
+			p.end()
 		}
 	} else {
-		p.events = append(p.events, map[string]any{
-			"ph": "M", "name": "process_name", "pid": 1,
-			"args": map[string]any{"name": "emeralds"},
-		})
+		p.begin()
+		p.lit(`"args":{"name":"emeralds"},"name":"process_name","ph":"M","pid":1`)
+		p.end()
 	}
 	var last vtime.Time
-	for _, e := range events {
-		p.add(e)
-		last = e.At
+	for _, seg := range segs {
+		for i := range seg {
+			if p.err != nil {
+				return
+			}
+			p.add(&seg[i])
+			last = seg[i].At
+		}
 	}
 	for c := range p.cur {
 		p.closeSlice(c, last) // a slice still open ends at the last event
 	}
-	doc := map[string]any{"displayTimeUnit": "ms", "traceEvents": p.events}
-	for k, v := range extra {
-		doc[k] = v
-	}
-	return doc
+	p.lit("]")
 }
 
 // ExportPerfetto writes events as Chrome/Perfetto trace-event JSON.
 func ExportPerfetto(w io.Writer, events []Event) error {
-	return json.NewEncoder(w).Encode(buildPerfettoDoc(events, nil))
+	p := newPerfettoWriter(w)
+	p.lit(`{"displayTimeUnit":"ms",`)
+	p.traceEvents(events)
+	p.lit("}\n")
+	return p.flush()
 }
 
 // ExportPerfetto exports a log's retained events, embedding the raw
@@ -234,6 +307,12 @@ func (l *Log) ExportPerfetto(w io.Writer) error {
 	if l == nil {
 		return fmt.Errorf("trace: nil log")
 	}
-	doc := buildPerfettoDoc(l.Events(), map[string]any{"emeraldsTrace": l.Raw()})
-	return json.NewEncoder(w).Encode(doc)
+	older, newer := l.segments()
+	p := newPerfettoWriter(w)
+	p.lit(`{"displayTimeUnit":"ms","emeraldsTrace":`)
+	l.writeRaw(&p.jsonWriter)
+	p.lit(",")
+	p.traceEvents(older, newer)
+	p.lit("}\n")
+	return p.flush()
 }

@@ -102,3 +102,75 @@ func TestEventString(t *testing.T) {
 		t.Errorf("event string %q", e.String())
 	}
 }
+
+// fixedRing is the reference ring: its whole capacity allocated up
+// front, the newest cap events kept.
+type fixedRing struct {
+	slots []Event
+	total int
+}
+
+func (r *fixedRing) add(e Event) {
+	r.slots[r.total%len(r.slots)] = e
+	r.total++
+}
+
+func (r *fixedRing) events() []Event {
+	if r.total <= len(r.slots) {
+		return r.slots[:r.total]
+	}
+	at := r.total % len(r.slots)
+	return append(append([]Event{}, r.slots[at:]...), r.slots[:at]...)
+}
+
+// TestRingGrowthBoundaries: a ring that grows on demand keeps exactly
+// what a fixed ring of the same capacity keeps, at and around the
+// capacities where growth starts, doubles, is clipped and wraps, and
+// its backing array never exceeds the capacity.
+func TestRingGrowthBoundaries(t *testing.T) {
+	for _, capacity := range []int{1, 2, 255, 256, 257, 4096} {
+		for _, n := range []int{capacity - 1, capacity, capacity + 1, 3 * capacity} {
+			l := New(capacity)
+			ref := &fixedRing{slots: make([]Event, capacity)}
+			for i := 0; i < n; i++ {
+				e := Event{At: vtime.Time(i), Kind: Kind(i % int(NumKinds)), Task: "t", CPU: i % 3}
+				l.AddDurCPU(e.At, e.Kind, e.Task, e.Detail, e.Dur, e.CPU)
+				ref.add(e)
+				if c := cap(l.ring); c > capacity {
+					t.Fatalf("cap %d after %d events: backing array holds %d", capacity, i+1, c)
+				}
+			}
+			got, want := l.Events(), ref.events()
+			if len(got) != len(want) {
+				t.Fatalf("cap %d, %d events: retained %d, want %d", capacity, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("cap %d, %d events: event %d = %+v, want %+v", capacity, n, i, got[i], want[i])
+				}
+			}
+			if l.Total() != uint64(n) {
+				t.Errorf("cap %d, %d events: total %d", capacity, n, l.Total())
+			}
+			if want := uint64(max(n-capacity, 0)); l.Dropped() != want {
+				t.Errorf("cap %d, %d events: dropped %d, want %d", capacity, n, l.Dropped(), want)
+			}
+		}
+	}
+}
+
+// TestLogAddZeroAllocWhenFull: once the ring holds its capacity, Add
+// overwrites in place without allocating.
+func TestLogAddZeroAllocWhenFull(t *testing.T) {
+	l := New(300)
+	for i := 0; i < 300; i++ {
+		l.Add(vtime.Time(i), Dispatch, "x", "")
+	}
+	at := vtime.Time(300)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.AddDurCPU(at, Preempt, "x", "for y", 5, 1)
+		at++
+	}); allocs != 0 {
+		t.Errorf("Add on a full ring allocates %v times per call, want 0", allocs)
+	}
+}

@@ -122,11 +122,14 @@ echo "== allocation smoke gate =="
 # The zero-alloc contracts behind the hot-path redesign, pinned with
 # testing.AllocsPerRun: event dispatch off the timer wheel, bitmap
 # queue push/pop, the FP scheduler's select, the instrumented CSD
-# select, and Kernel.Stats summing the per-CPU counter shards (called
-# on every telemetry tick). A steady-state allocation anywhere on these
-# paths fails here before it can show up as a bench regression.
+# select, Kernel.Stats summing the per-CPU counter shards (called on
+# every telemetry tick), trace recording into a full ring, and the
+# Perfetto export, whose allocations must not grow with the event count.
+# A steady-state allocation anywhere on these paths fails here before it
+# can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
-    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/
+    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/ \
+    ./internal/trace/
 
 echo "== bench regression gate =="
 # Committed full-run numbers: this PR's BENCH file vs the previous
