@@ -1,8 +1,7 @@
 // Package sched implements the real-time schedulers of §5 of the paper:
 // EDF (single unsorted queue), RM (sorted queue with a highestP
-// pointer), RM over a binary heap (the Table 1 comparison point), the
-// CSD combined static/dynamic scheduler with any number of queues, and
-// an offline cyclic executive (the §5 motivation baseline).
+// pointer), RM over a binary heap (the Table 1 comparison point), and
+// the CSD combined static/dynamic scheduler with any number of queues.
 //
 // A Scheduler is a passive policy object: the kernel tells it when
 // tasks block and unblock and asks it which task to run; every
