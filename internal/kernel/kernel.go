@@ -238,7 +238,6 @@ type Kernel struct {
 	optHints bool // §6.2 hint-based context-switch elimination
 	optPI    bool // §6.2 O(1) place-holder priority inheritance
 	dm       bool // deadline-monotonic fixed priorities
-	icpp     bool // immediate priority ceiling protocol
 	tr       *trace.Log
 
 	// Multicore execution state. cpus always has at least one entry;
@@ -339,7 +338,6 @@ func newKernel(cfg sim.Config) *Kernel {
 		optHints:  !cfg.StandardSem && !cfg.DisableHints,
 		optPI:     !cfg.StandardSem && !cfg.DisablePlaceholder,
 		dm:        cfg.DeadlineMonotonic,
-		icpp:      cfg.PriorityCeiling,
 		record:    cfg.RecordResponses,
 		tr:        tr,
 		lockReg:   regime,
@@ -667,9 +665,6 @@ func (k *Kernel) boot() error {
 		for _, th := range k.threads {
 			th.TCB.EffPrio = th.TCB.BasePrio
 		}
-		if k.icpp {
-			k.computeCeilings()
-		}
 		k.cpus[0].sch.Admit(sorted)
 	} else {
 		if err := k.bootCPUs(tcbs); err != nil {
@@ -723,9 +718,6 @@ func (k *Kernel) bootCPUs(tcbs []*task.TCB) error {
 	}
 	for _, th := range k.threads {
 		th.TCB.EffPrio = th.TCB.BasePrio
-	}
-	if k.icpp {
-		k.computeCeilings()
 	}
 	return nil
 }

@@ -247,30 +247,6 @@ func TestNodeDMAndRAMBudget(t *testing.T) {
 	}
 }
 
-func TestNodePriorityCeiling(t *testing.T) {
-	n := kernel.NewNode(sim.Config{Policy: sim.PolicyRM, PriorityCeiling: true})
-	a := n.NewSemaphore("A")
-	b := n.NewSemaphore("B")
-	// Opposite-order locking: deadlocks under PI, runs clean under ICPP.
-	n.AddTask(task.Spec{Name: "ab", Period: 25 * vtime.Millisecond, Prog: task.Program{
-		task.Acquire(a), task.Compute(vtime.Millisecond),
-		task.Acquire(b), task.Compute(500 * vtime.Microsecond),
-		task.Release(b), task.Release(a),
-	}})
-	n.AddTask(task.Spec{Name: "ba", Period: 15 * vtime.Millisecond, Phase: 500 * vtime.Microsecond, Prog: task.Program{
-		task.Acquire(b), task.Compute(vtime.Millisecond),
-		task.Acquire(a), task.Compute(500 * vtime.Microsecond),
-		task.Release(a), task.Release(b),
-	}})
-	if err := n.Boot(); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(200 * vtime.Millisecond)
-	if n.Stats().Completions < 16 {
-		t.Errorf("completions = %d: ICPP not in effect", n.Stats().Completions)
-	}
-}
-
 func TestRecordResponsesInReport(t *testing.T) {
 	n := kernel.NewNode(sim.Config{RecordResponses: true})
 	n.AddTask(task.Spec{Name: "pump", Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})

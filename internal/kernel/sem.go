@@ -37,7 +37,6 @@ type semaphore struct {
 	name    string
 	count   int
 	initial int
-	ceiling int     // ICPP priority ceiling; ksync.NoCeiling when off
 	owner   *Thread // mutex holder (nil for counting semaphores or free)
 	waiters ksync.WaitQueue
 	inh     ksync.Inheritance
@@ -69,7 +68,7 @@ func (k *Kernel) newSem(name string, count int) int {
 	if name == "" {
 		name = fmt.Sprintf("sem%d", len(k.sems))
 	}
-	s := &semaphore{id: len(k.sems), name: name, count: count, initial: count, ceiling: ksync.NoCeiling}
+	s := &semaphore{id: len(k.sems), name: name, count: count, initial: count}
 	k.chargeRAM("semaphore", mem.RAMPerSemaphore)
 	k.sems = append(k.sems, s)
 	return s.id
@@ -104,8 +103,7 @@ func (k *Kernel) doAcquire(th *Thread, op task.Op) {
 		s.count--
 		if s.isMutex() {
 			s.owner = th
-			th.holder.Push(ksync.HeldRef{SemID: s.id, TopWaiter: s.waiters.Peek, Ceiling: s.ceiling, HasCeiling: s.ceiling != ksync.NoCeiling})
-			k.applyCeiling(th, s)
+			th.holder.Push(ksync.HeldRef{SemID: s.id, TopWaiter: s.waiters.Peek})
 			// §6.3.1: the semaphore is now locked; any thread past its
 			// hinted blocking call but not yet here gets blocked so it
 			// cannot burn a context switch discovering the lock later.
@@ -169,8 +167,8 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 		th.holder.Pop(s.id)
 		s.owner = nil
 	}
-	// Undo priority inheritance and any ceiling boost: restore to base
-	// keys boosted by the waiters and ceilings of locks still held.
+	// Undo priority inheritance: restore to base keys boosted by the
+	// waiters of locks still held.
 	var ph *task.TCB
 	hadInh := s.inh.Active
 	if hadInh {
@@ -207,8 +205,7 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 		w.waitingSem = nil
 		if s.isMutex() {
 			s.owner = w
-			w.holder.Push(ksync.HeldRef{SemID: s.id, TopWaiter: s.waiters.Peek, Ceiling: s.ceiling, HasCeiling: s.ceiling != ksync.NoCeiling})
-			k.applyCeiling(w, s)
+			w.holder.Push(ksync.HeldRef{SemID: s.id, TopWaiter: s.waiters.Peek})
 		}
 		// The waiter's PC sits at the op that will consume the lock:
 		// its own acquire (standard block or §6.2 hint block), or the
@@ -550,8 +547,7 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 				m.count--
 				if m.isMutex() {
 					m.owner = w
-					w.holder.Push(ksync.HeldRef{SemID: m.id, TopWaiter: m.waiters.Peek, Ceiling: m.ceiling, HasCeiling: m.ceiling != ksync.NoCeiling})
-					k.applyCeiling(w, m)
+					w.holder.Push(ksync.HeldRef{SemID: m.id, TopWaiter: m.waiters.Peek})
 				}
 				w.reacquire = nil
 				// The waiter takes the mutex right here, without passing

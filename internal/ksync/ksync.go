@@ -117,9 +117,6 @@ type Holder struct {
 	buf [2]HeldRef
 }
 
-// NoCeiling marks a semaphore without a priority ceiling.
-const NoCeiling = int(^uint(0) >> 1)
-
 // HeldRef names one held semaphore by id with a callback view of its
 // current waiters.
 type HeldRef struct {
@@ -128,12 +125,6 @@ type HeldRef struct {
 	// when none). Kept as a closure so ksync stays independent of the
 	// kernel's semaphore type.
 	TopWaiter func() *task.TCB
-	// Ceiling is the semaphore's priority ceiling under the immediate
-	// priority ceiling protocol, meaningful only when HasCeiling is
-	// set — the zero value must stay inert because priority 0 is a
-	// legitimate (top) ceiling.
-	Ceiling    int
-	HasCeiling bool
 }
 
 // Push records that t acquired sem.
@@ -180,9 +171,6 @@ func (h *Holder) RestoreTarget(base int, ownDL vtime.Time) (int, vtime.Time) {
 			if w.EffDeadline < dl {
 				dl = w.EffDeadline
 			}
-		}
-		if ref.HasCeiling && ref.Ceiling < prio {
-			prio = ref.Ceiling
 		}
 	}
 	return prio, dl

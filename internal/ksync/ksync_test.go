@@ -140,18 +140,3 @@ func TestHolderRestoreTargetNoLocks(t *testing.T) {
 		t.Errorf("restore = %d/%v", prio, dl)
 	}
 }
-
-func TestHolderRestoreTargetWithCeiling(t *testing.T) {
-	var h Holder
-	h.Push(HeldRef{SemID: 1, TopWaiter: func() *task.TCB { return nil }, Ceiling: 2, HasCeiling: true})
-	prio, _ := h.RestoreTarget(7, 500)
-	if prio != 2 {
-		t.Errorf("prio = %d, want the held ceiling 2", prio)
-	}
-	// Without HasCeiling the zero Ceiling must be inert.
-	var h2 Holder
-	h2.Push(HeldRef{SemID: 1, TopWaiter: func() *task.TCB { return nil }})
-	if p, _ := h2.RestoreTarget(7, 500); p != 7 {
-		t.Errorf("inert ceiling boosted to %d", p)
-	}
-}

@@ -51,9 +51,6 @@ type Config struct {
 	// DeadlineMonotonic assigns fixed priorities by relative deadline
 	// instead of period.
 	DeadlineMonotonic bool
-	// PriorityCeiling swaps the §6 priority-inheritance mutexes for the
-	// immediate priority ceiling protocol.
-	PriorityCeiling bool
 
 	// CPUs is the number of processors; 0 and 1 both build the classic
 	// single-CPU system. On a multicore build tasks are partitioned
