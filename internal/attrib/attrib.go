@@ -165,16 +165,6 @@ type Analysis struct {
 	Dropped uint64
 }
 
-// Info returns the static parameters for a task name.
-func (an *Analysis) Info(name string) (TaskInfo, bool) {
-	for _, ti := range an.Tasks {
-		if ti.Name == name {
-			return ti, true
-		}
-	}
-	return TaskInfo{}, false
-}
-
 // --- replay state machine -------------------------------------------
 
 type taskState uint8

@@ -141,10 +141,6 @@ func (s *StateMessage) BeginWrite() *WriteHandle {
 	return &WriteHandle{s: s, slot: slot, seq: seq, buf: s.slots[slot]}
 }
 
-// SetByte writes one payload byte — the unit of adversarial
-// interleaving in tests.
-func (w *WriteHandle) SetByte(i int, b byte) { w.buf[i] = b }
-
 // SetWord writes the leading word of the payload.
 func (w *WriteHandle) SetWord(val int64) {
 	binary.LittleEndian.PutUint64(w.buf[:8], uint64(val))

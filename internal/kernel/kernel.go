@@ -371,11 +371,8 @@ func (k *Kernel) Name() string { return k.name }
 func (k *Kernel) Profile() *costmodel.Profile { return k.prof }
 
 // Scheduler returns the scheduling policy in effect (CPU 0's instance
-// on a multicore kernel; see SchedulerOn).
+// on a multicore kernel).
 func (k *Kernel) Scheduler() sched.Scheduler { return k.cpus[0].sch }
-
-// SchedulerOn returns CPU c's scheduler instance.
-func (k *Kernel) SchedulerOn(c int) sched.Scheduler { return k.cpus[c].sch }
 
 // NumCPUs reports the number of processors.
 func (k *Kernel) NumCPUs() int { return len(k.cpus) }
@@ -527,12 +524,6 @@ func (k *Kernel) ReadyCountOn(c int) int {
 	}
 	return n
 }
-
-// NumMailboxes reports how many mailboxes exist on the node.
-func (k *Kernel) NumMailboxes() int { return len(k.mboxes) }
-
-// NumVLinks reports how many virtual links exist on the node.
-func (k *Kernel) NumVLinks() int { return len(k.vlinks) }
 
 // QueuedMessages reports the instantaneous total of messages sitting in
 // all mailboxes and virtual links — the occupancy gauge the telemetry

@@ -388,20 +388,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.free(ev)
 }
 
-// Advance moves the clock forward without dispatching anything. It is
-// used by the kernel to charge computation time between events. Moving
-// past a pending event panics: the kernel must never skip events.
-func (e *Engine) Advance(d vtime.Duration) {
-	if d < 0 {
-		panic("sim: negative advance")
-	}
-	t := e.now.Add(d)
-	if next := e.findMin(); next != nil && next.when < t {
-		panic(fmt.Sprintf("sim: advance to %v would skip event %q at %v", t, next.label, next.when))
-	}
-	e.now = t
-}
-
 // NextEventTime reports the instant of the earliest pending event.
 func (e *Engine) NextEventTime() (vtime.Time, bool) {
 	ev := e.findMin()

@@ -98,35 +98,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.At(5, "past", func() {})
 }
 
-func TestAdvance(t *testing.T) {
-	e := New()
-	e.Advance(100)
-	if e.Now() != 100 {
-		t.Errorf("clock = %v", e.Now())
-	}
-}
-
-func TestAdvancePastEventPanics(t *testing.T) {
-	e := New()
-	e.At(50, "x", func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.Advance(100)
-}
-
-func TestNegativeAdvancePanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.Advance(-1)
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []int

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"emeralds/internal/vtime"
 )
@@ -175,15 +174,6 @@ func (l *Log) grow() {
 	l.ring = ring
 }
 
-// Addf records an event with a formatted detail string. Prefer Add on
-// hot paths; Addf allocates.
-func (l *Log) Addf(at vtime.Time, kind Kind, taskName, format string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.Add(at, kind, taskName, fmt.Sprintf(format, args...))
-}
-
 // Total reports how many events were recorded over the log's lifetime
 // (including ones that have rotated out of the ring).
 func (l *Log) Total() uint64 {
@@ -235,11 +225,4 @@ func (l *Log) Filter(kind Kind) []Event {
 		}
 	}
 	return out
-}
-
-// Dump writes the retained events to w, one per line.
-func (l *Log) Dump(w io.Writer) {
-	for _, e := range l.Events() {
-		fmt.Fprintln(w, e)
-	}
 }

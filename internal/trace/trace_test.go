@@ -42,7 +42,6 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Add(0, Miss, "x", "") // must not panic
-	l.Addf(0, Miss, "x", "%d", 1)
 	if l.Events() != nil || l.Total() != 0 {
 		t.Error("nil log should be empty")
 	}
@@ -59,19 +58,6 @@ func TestFilter(t *testing.T) {
 	}
 	if len(l.Filter(Fault)) != 0 {
 		t.Error("empty filter should be empty")
-	}
-}
-
-func TestDump(t *testing.T) {
-	l := New(4)
-	l.Add(vtime.Time(vtime.Millisecond), SemAcquire, "enc", "cfg")
-	var b strings.Builder
-	l.Dump(&b)
-	out := b.String()
-	for _, frag := range []string{"sem-acquire", "enc", "cfg", "1.000ms"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("dump %q missing %q", out, frag)
-		}
 	}
 }
 
@@ -100,6 +86,12 @@ func TestEventString(t *testing.T) {
 	e := Event{At: vtime.Time(vtime.Millisecond), Kind: Miss, Task: "tau05"}
 	if !strings.Contains(e.String(), "MISS") || !strings.Contains(e.String(), "tau05") {
 		t.Errorf("event string %q", e.String())
+	}
+	e = Event{At: vtime.Time(vtime.Millisecond), Kind: SemAcquire, Task: "enc", Detail: "cfg"}
+	for _, frag := range []string{"sem-acquire", "enc", "cfg", "1.000ms"} {
+		if !strings.Contains(e.String(), frag) {
+			t.Errorf("event string %q missing %q", e.String(), frag)
+		}
 	}
 }
 
