@@ -186,7 +186,7 @@ func BenchmarkHarnessFanout(b *testing.B) {
 func benchSemFigure(b *testing.B, kind experiments.SemQueueKind) {
 	var pts []experiments.SemPoint
 	for i := 0; i < b.N; i++ {
-		pts = experiments.SemOverheadCurve(kind, []int{15}, nil, experiments.Serial)
+		pts, _ = experiments.SemOverheadCurveDiag(kind, []int{15}, nil, experiments.Serial)
 	}
 	b.ReportMetric(pts[0].Standard.Micros(), "standard-µs@15")
 	b.ReportMetric(pts[0].Optimized.Micros(), "optimized-µs@15")
@@ -198,13 +198,12 @@ func BenchmarkFigure12(b *testing.B) { benchSemFigure(b, experiments.FPQueue) }
 
 // --- §7: state messages vs mailboxes vs virtual links --------------------
 
-// BenchmarkIPCComparison (né BenchmarkStateMessageVsMailbox; renamed in
-// PR 10 when IPCComparison grew a fourth, virtual-link scenario per
-// job) measures the full three-mechanism grid point.
+// BenchmarkIPCComparison measures one full IPCComparisonDiag grid
+// point: state messages, mailboxes and virtual links.
 func BenchmarkIPCComparison(b *testing.B) {
 	var pts []experiments.IPCPoint
 	for i := 0; i < b.N; i++ {
-		pts = experiments.IPCComparison([]int{8}, []int{4}, nil, experiments.Serial)
+		pts, _ = experiments.IPCComparisonDiag([]int{8}, []int{4}, nil, experiments.Serial)
 	}
 	b.ReportMetric(pts[0].StatePerMsg.Micros(), "state-µs/msg")
 	b.ReportMetric(pts[0].MailboxPerMsg.Micros(), "mailbox-µs/msg")
@@ -263,7 +262,11 @@ func BenchmarkKernelSimulation(b *testing.B) {
 func BenchmarkKernelSimulationM4(b *testing.B) {
 	var p experiments.LockPoint
 	for i := 0; i < b.N; i++ {
-		p = experiments.MulticoreCell(4, kernel.LockPerCPU, nil, 10*vtime.Millisecond)
+		var err error
+		p, _, err = experiments.LockCellObserved(sim.Config{CPUs: 4, Lock: kernel.LockPerCPU.String()}, 10*vtime.Millisecond, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	if p.Completions == 0 {
 		b.Fatal("degenerate scenario")
@@ -364,7 +367,7 @@ func BenchmarkAblationSemScheme(b *testing.B) {
 		b.Run(string(kind), func(b *testing.B) {
 			var pts []experiments.SemAblationPoint
 			for i := 0; i < b.N; i++ {
-				pts = experiments.SemAblation(kind, []int{15}, nil, experiments.Serial)
+				pts, _ = experiments.SemAblationDiag(kind, []int{15}, nil, experiments.Serial)
 			}
 			p := pts[0]
 			b.ReportMetric(p.Standard.Micros(), "standard-µs")

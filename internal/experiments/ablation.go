@@ -30,13 +30,6 @@ type SemAblationPoint struct {
 	Full            vtime.Duration `json:"full_us"`             // the complete §6.2 scheme
 }
 
-// SemAblation measures the four builds on the Figure 6 scenario, one
-// harness job per queue length.
-func SemAblation(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) []SemAblationPoint {
-	pts, _ := SemAblationDiag(kind, lens, prof, par)
-	return pts
-}
-
 // semAblationJob pairs one point with its observability record, as in
 // SemOverheadCurveDiag.
 type semAblationJob struct {
@@ -45,10 +38,11 @@ type semAblationJob struct {
 	block map[string]*stats.Histogram
 }
 
-// SemAblationDiag is SemAblation plus the merged diagnostics block:
-// counters summed over all four builds and T2's blocking-time
-// histograms keyed by kind and build ("dp/hint-only/T2"), folded in
-// job order so the result is worker-count independent.
+// SemAblationDiag measures the four builds on the Figure 6 scenario,
+// one harness job per queue length. It also returns the merged
+// diagnostics block: counters summed over all four builds and T2's
+// blocking-time histograms keyed by kind and build ("dp/hint-only/T2"),
+// folded in job order so the result is worker-count independent.
 func SemAblationDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemAblationPoint, *metrics.Diagnostics) {
 	builds := []struct {
 		name                                        string

@@ -11,7 +11,7 @@ import (
 // full scheme must dominate both partial builds.
 func TestSemAblationDecomposition(t *testing.T) {
 	for _, kind := range []SemQueueKind{DPQueue, FPQueue} {
-		pts := SemAblation(kind, []int{15, 30}, nil, Par{})
+		pts, _ := SemAblationDiag(kind, []int{15, 30}, nil, Par{})
 		for _, p := range pts {
 			if p.Full >= p.Standard {
 				t.Errorf("%s len %d: full %v not below standard %v", kind, p.QueueLen, p.Full, p.Standard)
@@ -34,16 +34,19 @@ func TestSemAblationDecomposition(t *testing.T) {
 // targets the *sorted* FP queue; on the unsorted DP queue PI is O(1)
 // anyway, so disabling it must not change the DP result.
 func TestSemAblationPlaceholderMattersOnFPOnly(t *testing.T) {
-	dp := SemAblation(DPQueue, []int{20}, nil, Par{})[0]
+	dps, _ := SemAblationDiag(DPQueue, []int{20}, nil, Par{})
+	dp := dps[0]
 	if dp.Full != dp.HintOnly {
 		t.Errorf("DP: full %v != hint-only %v, but DP PI is O(1) regardless", dp.Full, dp.HintOnly)
 	}
-	fp := SemAblation(FPQueue, []int{20}, nil, Par{})[0]
+	fps, _ := SemAblationDiag(FPQueue, []int{20}, nil, Par{})
+	fp := fps[0]
 	if fp.HintOnly <= fp.Full {
 		t.Errorf("FP: hint-only %v should exceed full %v (reposition scans remain)", fp.HintOnly, fp.Full)
 	}
 	// And the placeholder contribution must grow with queue length on FP.
-	fp30 := SemAblation(FPQueue, []int{30}, nil, Par{})[0]
+	fp30s, _ := SemAblationDiag(FPQueue, []int{30}, nil, Par{})
+	fp30 := fp30s[0]
 	gain20 := fp.HintOnly - fp.Full
 	gain30 := fp30.HintOnly - fp30.Full
 	if gain30 <= gain20 {
@@ -69,12 +72,13 @@ func TestCSDCounterAblation(t *testing.T) {
 		with, without, 100*saving)
 }
 
-// TestSemAblatedMatchesSemScenario: the ablation entry point with both
-// mechanisms enabled must equal the standard harness.
+// TestSemAblatedMatchesSemScenario: the ablation's full build (both
+// mechanisms enabled, histograms recorded for its diagnostics) must
+// equal the standard harness's optimized scenario.
 func TestSemAblatedMatchesSemScenario(t *testing.T) {
 	a := SemScenario(FPQueue, 12, true, nil)
-	b := SemScenarioAblated(FPQueue, 12, true, false, false, nil)
-	if a != b {
+	pts, _ := SemAblationDiag(FPQueue, []int{12}, nil, Par{})
+	if b := pts[0].Full; a != b {
 		t.Errorf("mismatch: %v vs %v", a, b)
 	}
 	var zero vtime.Duration

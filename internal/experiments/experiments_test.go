@@ -13,7 +13,7 @@ import (
 // is larger, and the saving at length 15 is at least the paper's 28%
 // ballpark.
 func TestFigure11Shape(t *testing.T) {
-	pts := SemOverheadCurve(DPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
+	pts, _ := SemOverheadCurveDiag(DPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Standard <= pts[i-1].Standard {
 			t.Errorf("standard not increasing at len %d", pts[i].QueueLen)
@@ -39,7 +39,7 @@ func TestFigure11Shape(t *testing.T) {
 // TestFigure12Shape checks the FP-queue result: standard linear,
 // optimized constant at the paper's 29.4 µs.
 func TestFigure12Shape(t *testing.T) {
-	pts := SemOverheadCurve(FPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
+	pts, _ := SemOverheadCurveDiag(FPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
 	for _, p := range pts {
 		if p.Optimized != vtime.Micros(29.4) {
 			t.Errorf("optimized at len %d = %v, want the constant 29.4 µs", p.QueueLen, p.Optimized)
@@ -150,7 +150,7 @@ func TestBreakdownFigureShapes(t *testing.T) {
 // beat mailboxes on every point, more with more readers, and eliminate
 // per-message context switches.
 func TestIPCComparisonShape(t *testing.T) {
-	pts := IPCComparison([]int{8, 64}, []int{1, 4}, nil, Par{})
+	pts, _ := IPCComparisonDiag([]int{8, 64}, []int{1, 4}, nil, Par{})
 	for _, p := range pts {
 		if p.StatePerMsg >= p.MailboxPerMsg {
 			t.Errorf("r=%d size=%d: state %v not below mailbox %v",

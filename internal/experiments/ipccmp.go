@@ -61,15 +61,6 @@ func (p IPCPoint) SpeedupX() float64 {
 	return float64(p.MailboxPerMsg) / float64(p.StatePerMsg)
 }
 
-// IPCComparison sweeps payload sizes and reader counts, one harness
-// job per (readers, size) grid point; each job runs its four
-// deterministic scenarios (state, mailbox, vlink, baseline) back to
-// back.
-func IPCComparison(sizes, readers []int, prof *costmodel.Profile, par Par) []IPCPoint {
-	pts, _ := IPCComparisonDiag(sizes, readers, prof, par)
-	return pts
-}
-
 // ipcJob is one grid point's result plus its observability record.
 type ipcJob struct {
 	point IPCPoint
@@ -77,12 +68,15 @@ type ipcJob struct {
 	hists map[string]*stats.Histogram // "state/producer" → response times
 }
 
-// IPCComparisonDiag is IPCComparison plus the merged diagnostics
-// block: kernel counters summed over every scenario kernel of every
-// job (metrics.Set.Merge), and per-task response histograms folded
-// across jobs with stats.Histogram.Merge — the merge happens in job
-// order on the harness's job-indexed results, so the block is
-// identical for any worker count. Task names are qualified by scenario
+// IPCComparisonDiag sweeps payload sizes and reader counts, one
+// harness job per (readers, size) grid point; each job runs its four
+// deterministic scenarios (state, mailbox, vlink, baseline) back to
+// back. It also returns the merged diagnostics block: kernel counters
+// summed over every scenario kernel of every job (metrics.Set.Merge),
+// and per-task response histograms folded across jobs with
+// stats.Histogram.Merge — the merge happens in job order on the
+// harness's job-indexed results, so the block is identical for any
+// worker count. Task names are qualified by scenario
 // ("state/producer", "mailbox/consumer0") since the same task runs
 // under each IPC mechanism.
 func IPCComparisonDiag(sizes, readers []int, prof *costmodel.Profile, par Par) ([]IPCPoint, *metrics.Diagnostics) {

@@ -78,19 +78,6 @@ func lockWorkload(k *kernel.Kernel) {
 	}
 }
 
-// lockCell runs one (cpus, regime) cell for the given horizon.
-func lockCell(cpus int, regime kernel.LockRegime, prof *costmodel.Profile, ms vtime.Duration) LockPoint {
-	pt, _, err := LockCellObserved(sim.Config{
-		Profile: prof,
-		CPUs:    cpus,
-		Lock:    regime.String(),
-	}, ms, nil)
-	if err != nil {
-		panic(err)
-	}
-	return pt
-}
-
 // LockCellObserved runs the lock-ablation workload on a node built from
 // cfg (Policy and NoParser are forced to the ablation's fixed choices),
 // calling observe — if non-nil — on the assembled node before Boot.
@@ -138,14 +125,9 @@ func LockCellObserved(cfg sim.Config, ms vtime.Duration, observe func(*kernel.No
 	}, n, nil
 }
 
-// LockGranularity runs the full grid (cpus × regime), one harness job
-// per cell, in a fixed deterministic order.
-func LockGranularity(cpuCounts []int, prof *costmodel.Profile, ms vtime.Duration, par Par) []LockPoint {
-	return LockGrid(cpuCounts, nil, prof, ms, par)
-}
-
-// LockGrid is LockGranularity with the regime axis selectable — the
-// explicit -lock flag pins it to one regime; nil runs all three.
+// LockGrid runs the lock-granularity grid (cpus × regime), one harness
+// job per cell, in a fixed deterministic order. The explicit -lock flag
+// pins the regime axis to one regime; nil runs all three.
 func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, prof *costmodel.Profile, ms vtime.Duration, par Par) []LockPoint {
 	if prof == nil {
 		prof = m68040
@@ -169,7 +151,12 @@ func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, prof *costmodel.Prof
 	return parRun(par, "lock-granularity", 0, len(cells),
 		func(j harness.Job) (LockPoint, error) {
 			c := cells[j.Index]
-			return lockCell(c.cpus, c.regime, prof, ms), nil
+			pt, _, err := LockCellObserved(sim.Config{
+				Profile: prof,
+				CPUs:    c.cpus,
+				Lock:    c.regime.String(),
+			}, ms, nil)
+			return pt, err
 		})
 }
 

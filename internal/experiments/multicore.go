@@ -9,16 +9,6 @@ import (
 	"emeralds/internal/vtime"
 )
 
-// MulticoreCell runs the lock-ablation workload for a single
-// (cpus, regime) cell and returns its point — the building block
-// BenchmarkKernelSimulationM4 times without paying for the full grid.
-func MulticoreCell(cpus int, regime kernel.LockRegime, prof *costmodel.Profile, ms vtime.Duration) LockPoint {
-	if prof == nil {
-		prof = m68040
-	}
-	return lockCell(cpus, regime, prof, ms)
-}
-
 // MigrationPingPong bounces one long-running task between two CPUs once
 // per millisecond and returns how many migrations landed plus the total
 // simulated time charged to them. Each request arrives mid-segment, so

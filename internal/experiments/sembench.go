@@ -43,7 +43,7 @@ var m68040 = costmodel.M68040()
 // SemQueueKind selects which scheduler queue the scenario exercises.
 type SemQueueKind string
 
-// Queue kinds for SemOverheadCurve.
+// Queue kinds for SemOverheadCurveDiag.
 const (
 	DPQueue SemQueueKind = "dp" // EDF-style unsorted queue (Figure 11)
 	FPQueue SemQueueKind = "fp" // RM sorted queue (Figure 12)
@@ -65,15 +65,6 @@ func (p SemPoint) SavingPct() float64 {
 	return 100 * float64(p.Standard-p.Optimized) / float64(p.Standard)
 }
 
-// SemOverheadCurve measures the acquire/release pair overhead at each
-// queue length under both semaphore implementations, one harness job
-// per queue length. The scenario is fully deterministic (no RNG), so
-// the fan-out affects wall time only.
-func SemOverheadCurve(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) []SemPoint {
-	pts, _ := SemOverheadCurveDiag(kind, lens, prof, par)
-	return pts
-}
-
 // semJob pairs one queue-length measurement with its observability
 // record (counters over both scheme kernels, T2's blocking times per
 // scheme).
@@ -83,12 +74,15 @@ type semJob struct {
 	block map[string]*stats.Histogram
 }
 
-// SemOverheadCurveDiag is SemOverheadCurve plus the merged diagnostics
-// block: counters summed over every scenario kernel (standard and
-// optimized) and the waiter T2's semaphore blocking-time histograms,
-// keyed by queue kind and scheme ("dp/standard/T2") and folded across
-// jobs with stats.Histogram.Merge in job order — identical for any
-// harness worker count.
+// SemOverheadCurveDiag measures the acquire/release pair overhead at
+// each queue length under both semaphore implementations, one harness
+// job per queue length. The scenario is fully deterministic (no RNG),
+// so the fan-out affects wall time only. It also returns the merged
+// diagnostics block: counters summed over every scenario kernel
+// (standard and optimized) and the waiter T2's semaphore blocking-time
+// histograms, keyed by queue kind and scheme ("dp/standard/T2") and
+// folded across jobs with stats.Histogram.Merge in job order —
+// identical for any harness worker count.
 func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemPoint, *metrics.Diagnostics) {
 	jobs := parRun(par, "sem-"+string(kind), 0, len(lens),
 		func(j harness.Job) (semJob, error) {
@@ -144,16 +138,7 @@ func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile
 // padded to queueLen tasks and returns the overhead charged between
 // event E and the completion of T₂'s critical section.
 func SemScenario(kind SemQueueKind, queueLen int, optimized bool, prof *costmodel.Profile) vtime.Duration {
-	return SemScenarioAblated(kind, queueLen, optimized, false, false, prof)
-}
-
-// SemScenarioAblated is SemScenario with the two halves of the §6
-// optimization individually switchable: disableHints removes the
-// context-switch elimination, disablePlaceholder removes the O(1)
-// priority inheritance. The ablation benchmark uses it to attribute
-// the Figure 11/12 savings to each mechanism.
-func SemScenarioAblated(kind SemQueueKind, queueLen int, optimized, disableHints, disablePlaceholder bool, prof *costmodel.Profile) vtime.Duration {
-	d, _ := semScenarioRun(kind, queueLen, optimized, disableHints, disablePlaceholder, prof, false)
+	d, _ := semScenarioRun(kind, queueLen, optimized, false, false, prof, false)
 	return d
 }
 
