@@ -278,8 +278,7 @@ func BenchmarkKernelSimulationM4(b *testing.B) {
 // BenchmarkSamplerOverhead prices the flight recorder against the same
 // 3-task EDF system it ships in emsim: "off" is the plain simulation,
 // "on" adds a telemetry.Recorder at the emsim default cadence
-// (horizon/512). The off/on ns/op ratio bounds the sampling tax;
-// BENCH_pr8.json records both so regressions show up in benchdiff.
+// (horizon/512). The off/on ns/op ratio bounds the sampling tax.
 func BenchmarkSamplerOverhead(b *testing.B) {
 	const horizon = 100 * vtime.Millisecond
 	run := func(b *testing.B, sample bool) {
@@ -332,9 +331,9 @@ func BenchmarkMigrationOp(b *testing.B) {
 
 // BenchmarkPerCPUCounters compares the increment cost of the
 // single-shard counter Set — whose instrumentation made up 34% of
-// simulation time before the multicore split (BENCH_pr3, ROADMAP §3) —
-// with the M=4 per-CPU sharded layout plus its deterministic
-// MergeShards fold. Sharding must not regress the single-set cost.
+// simulation time before the multicore split — with the M=4 per-CPU
+// sharded layout plus its deterministic MergeShards fold. Sharding must
+// not regress the single-set cost.
 func BenchmarkPerCPUCounters(b *testing.B) {
 	b.Run("single-shard", func(b *testing.B) {
 		s := &metrics.Set{}
