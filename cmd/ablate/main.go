@@ -27,7 +27,9 @@ func main() {
 	lockMs := flag.Float64("lock-ms", 1000, "virtual milliseconds per lock-granularity cell")
 	c.Parse()
 	ls := c.Ints("len", *lens, 3)
-	lockMs64 := vtime.Millis(*lockMs)
+	c.AtLeast("sweep-n", *sweepN, 1)
+	c.AtLeast("sweep-workloads", *sweepCount, 1)
+	lockMs64 := c.Millis("lock-ms", *lockMs)
 	lcs := c.Ints("lock-cpus", *lockCPUs, 1)
 	// The shared -cpus/-lock flags pin the lock-granularity grid to one
 	// row/regime, matching their meaning in emsim/emreport/emfuzz. The

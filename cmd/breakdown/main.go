@@ -30,6 +30,8 @@ func main() {
 	ns := flag.String("n", "", "comma-separated task counts (default 5..50 step 5)")
 	simulate := flag.Bool("sim", false, "cross-check EDF/RM points by simulation-driven breakdown (slow; horizon 2 s)")
 	c.Parse()
+	c.AtLeast("div", *div, 1)
+	c.AtLeast("workloads", *workloads, 1)
 
 	// One profile drives everything: the analytic sweep and, under
 	// -sim, the simulation cross-check (which previously defaulted to

@@ -27,6 +27,10 @@ func main() {
 	div := flag.Int("div", 1, "period divisor")
 	queues := flag.Int("queues", 3, "CSD queue count x")
 	c.Parse()
+	c.AtLeast("n", *n, 1)
+	c.Positive("u", *u)
+	c.AtLeast("div", *div, 1)
+	c.AtLeast("queues", *queues, 1)
 
 	prof := costmodel.M68040()
 	specs := workload.Generate(workload.Config{

@@ -48,6 +48,11 @@ func main() {
 	traceIn := flag.String("trace", "", "analyze a trace JSON file instead of replaying a scenario")
 	doSync := flag.Bool("syncheck", false, "append an IPC synchronizability check (crown detection over the observed sends/receives)")
 	c.Parse()
+	c.AtLeast("queues", *queues, 1)
+	c.AtLeast("n", *n, 0)
+	c.Positive("u", *u)
+	c.AtLeast("div", *div, 1)
+	c.Millis("ms", *ms)
 
 	var (
 		rep    *attrib.Report

@@ -7,9 +7,33 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"emeralds/internal/cli/clitest"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden file")
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestBadNumericFlagsRefused: a run length that simulates nothing, or a
+// scenario flag out of range, exits 2 naming the flag instead of
+// reporting on an empty or substituted run with status 0.
+func TestBadNumericFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-ms", []string{"-ms", "-1"}},
+		{"-ms", []string{"-ms", "0"}},
+		{"-ms", []string{"-ms", "Inf"}},
+		{"-queues", []string{"-queues", "-1", "-ms", "10"}},
+		{"-n", []string{"-n", "-1", "-ms", "10"}},
+		{"-u", []string{"-n", "5", "-u", "-1", "-ms", "10"}},
+		{"-div", []string{"-n", "5", "-div", "0", "-ms", "10"}},
+	} {
+		clitest.Refused(t, "bad "+tc.flag+":", append(tc.args, "-quiet")...)
+	}
+}
 
 // goldenScenario is the reference run: RM on the Table 2 workload long
 // enough to produce τ₄'s overload misses, so the golden locks the miss

@@ -40,6 +40,11 @@ func main() {
 	standard := flag.Bool("standard-sem", false, "use the standard §6.1 semaphore scheme")
 	teleFlag := flag.Bool("telemetry", false, "print the telemetry summary (sparklines, SLO verdicts, change points); implies a default -sample-us")
 	c.Parse()
+	c.AtLeast("queues", *queues, 1)
+	c.AtLeast("n", *n, 0)
+	c.Positive("u", *u)
+	c.AtLeast("div", *div, 1)
+	run := c.Millis("ms", *ms)
 	if *teleFlag && f.SampleUs == 0 {
 		// Default cadence: 512 samples across the run.
 		f.SampleUs = *ms * 1000 / 512
@@ -76,7 +81,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "emsim:", err)
 		os.Exit(1)
 	}
-	sys.Run(vtime.Millis(*ms))
+	sys.Run(run)
 
 	if err := f.Finish(sys); err != nil {
 		fmt.Fprintln(os.Stderr, "emsim:", err)

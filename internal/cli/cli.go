@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,6 +23,7 @@ import (
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/telemetry"
+	"emeralds/internal/vtime"
 )
 
 // Common holds the flags shared by every experiment command.
@@ -189,6 +191,33 @@ func (c *Common) EmitText(text string) {
 func (c *Common) Fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", c.Tool, fmt.Sprintf(format, args...))
 	os.Exit(2)
+}
+
+// The range checks below exit 2 on an out-of-range numeric flag, so a
+// tool never runs on a silently substituted default, labels its output
+// with a value it did not use, or panics deep inside a computation.
+
+// AtLeast exits 2 unless the integer flag name is at least least.
+func (c *Common) AtLeast(name string, v, least int) {
+	if v < least {
+		c.Fatalf("bad -%s: %d (want ≥ %d)", name, v, least)
+	}
+}
+
+// Positive exits 2 unless the float flag name is positive and finite.
+func (c *Common) Positive(name string, v float64) {
+	if !(v > 0 && v <= math.MaxFloat64) {
+		c.Fatalf("bad -%s: %v (want a positive number)", name, v)
+	}
+}
+
+// Millis returns the virtual-milliseconds flag name as a duration,
+// exiting 2 unless the span is positive and fits a vtime.Duration.
+func (c *Common) Millis(name string, ms float64) vtime.Duration {
+	if !(ms > 0 && ms < float64(vtime.Forever)/float64(vtime.Millisecond)) || vtime.Millis(ms) <= 0 {
+		c.Fatalf("bad -%s: %v (want a positive number of milliseconds)", name, ms)
+	}
+	return vtime.Millis(ms)
 }
 
 // Ints parses a comma-separated integer list flag, exiting 2 on a bad
