@@ -132,8 +132,8 @@ func (k *Kernel) isCurrent(th *Thread) bool {
 	return false
 }
 
-// MigrationsInFlight counts tasks currently in transit (tests).
-func (k *Kernel) MigrationsInFlight() int {
+// migrationsInFlight counts tasks currently in transit (tests).
+func (k *Kernel) migrationsInFlight() int {
 	n := 0
 	for _, th := range k.threads {
 		if th.migrating {

@@ -83,8 +83,8 @@ func TestMigrateWhileBlockedOnSemaphore(t *testing.T) {
 		if err := k.Migrate(waiter, 1); err != nil {
 			t.Fatalf("migrating blocked waiter: %v", err)
 		}
-		if k.MigrationsInFlight() != 1 {
-			t.Errorf("migrations in flight = %d, want 1", k.MigrationsInFlight())
+		if k.migrationsInFlight() != 1 {
+			t.Errorf("migrations in flight = %d, want 1", k.migrationsInFlight())
 		}
 	})
 	k.Run(50 * vtime.Millisecond)
@@ -94,7 +94,7 @@ func TestMigrateWhileBlockedOnSemaphore(t *testing.T) {
 	if waiter.TCB.Completions == 0 {
 		t.Error("waiter never completed after migrating while blocked")
 	}
-	if k.MigrationsInFlight() != 0 {
+	if k.migrationsInFlight() != 0 {
 		t.Error("migration never landed")
 	}
 	if got := k.Metrics().Get(metrics.Migrations); got != 1 {
@@ -120,7 +120,7 @@ func TestDeferredMigrationCancelledByTeardown(t *testing.T) {
 			t.Fatalf("mid-segment migrate: %v", err)
 		}
 		// Mid-segment: deferred, not in transit.
-		if k.MigrationsInFlight() != 0 {
+		if k.migrationsInFlight() != 0 {
 			t.Error("mid-segment migration did not defer")
 		}
 	})
@@ -134,7 +134,7 @@ func TestDeferredMigrationCancelledByTeardown(t *testing.T) {
 	if got := k.Metrics().Get(metrics.Migrations); got != 0 {
 		t.Errorf("migrations counter = %d, want 0 (cancelled)", got)
 	}
-	if k.MigrationsInFlight() != 0 {
+	if k.migrationsInFlight() != 0 {
 		t.Error("stale in-flight migration after teardown")
 	}
 	if late.TCB.Completions < 2 {

@@ -457,9 +457,6 @@ func (k *Kernel) Diagnostics() *metrics.Diagnostics {
 // Trace returns the trace log (nil if tracing is off).
 func (k *Kernel) Trace() *trace.Log { return k.tr }
 
-// Memory returns the node's memory system.
-func (k *Kernel) Memory() *mem.System { return k.memsys }
-
 // Footprint returns the static kernel-size accounting.
 func (k *Kernel) Footprint() *mem.Footprint { return k.footprint }
 
@@ -491,10 +488,6 @@ func (k *Kernel) ensureHists(th *Thread) {
 		th.blockHist = &hp[1]
 	}
 }
-
-// Current returns the running thread (nil when idle). On a multicore
-// kernel it reports CPU 0; see CurrentOn.
-func (k *Kernel) Current() *Thread { return k.cpus[0].current }
 
 // CurrentOn returns the thread running on CPU c (nil when idle).
 func (k *Kernel) CurrentOn(c int) *Thread { return k.cpus[c].current }

@@ -191,7 +191,7 @@ func TestStateValueDoesNotCount(t *testing.T) {
 func TestMemoryProtectionFaultKillsJob(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	region := k.Memory().NewRegion("priv", 16)
+	region := k.memsys.NewRegion("priv", 16)
 	victim := k.AddTask(task.Spec{Name: "victim", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{
 			task.Load(region.ID, 0, 8), // not mapped into the task's space
@@ -215,13 +215,13 @@ func TestMemoryProtectionFaultKillsJob(t *testing.T) {
 func TestMemoryMappedAccessWorks(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	region := k.Memory().NewRegion("shared", 16)
+	region := k.memsys.NewRegion("shared", 16)
 	th := k.AddTask(task.Spec{Name: "rw", Period: 10 * vtime.Millisecond,
 		Prog: task.Program{
 			task.Store(region.ID, 0, 4242),
 			task.Load(region.ID, 0, 8),
 		}})
-	if err := k.Memory().Map(th.Proc, region.ID, mem.ReadWrite); err != nil {
+	if err := k.memsys.Map(th.Proc, region.ID, mem.ReadWrite); err != nil {
 		t.Fatal(err)
 	}
 	boot(t, n)

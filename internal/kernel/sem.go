@@ -7,7 +7,6 @@ import (
 	"emeralds/internal/mem"
 	"emeralds/internal/metrics"
 	"emeralds/internal/task"
-	"emeralds/internal/vtime"
 )
 
 // This file implements §6 of the paper: semaphores with full semantics
@@ -81,9 +80,9 @@ func (k *Kernel) sem(id int) *semaphore {
 	return k.sems[id]
 }
 
-// SemOwnerName reports the current mutex holder's name (tests), "" when
+// semOwnerName reports the current mutex holder's name (tests), "" when
 // free.
-func (k *Kernel) SemOwnerName(id int) string {
+func (k *Kernel) semOwnerName(id int) string {
 	if o := k.sem(id).owner; o != nil {
 		return o.TCB.Name
 	}
@@ -582,23 +581,4 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 		}
 	}
 	k.reschedule()
-}
-
-// --- semaphore introspection (tests, benches) ------------------------
-
-// SemWaiters reports how many threads wait on the semaphore.
-func (k *Kernel) SemWaiters(id int) int { return k.sem(id).waiters.Len() }
-
-// SemPreAcquireLen reports the §6.3.1 pre-acquire queue length.
-func (k *Kernel) SemPreAcquireLen(id int) int { return len(k.sem(id).preAcq) }
-
-// SemHolderBoosted reports whether the holder currently runs at an
-// inherited priority.
-func (k *Kernel) SemHolderBoosted(id int) bool { return k.sem(id).inh.Active }
-
-// SemSavedPrio reports the holder's pre-inheritance priority (valid
-// only while boosted).
-func (k *Kernel) SemSavedPrio(id int) (int, vtime.Duration) {
-	s := k.sem(id)
-	return s.inh.SavedPrio, vtime.Duration(s.inh.SavedDL)
 }

@@ -452,10 +452,10 @@ func TestSemIntrospection(t *testing.T) {
 	prof := costmodel.Zero()
 	_, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sem := k.NewSemaphore("m")
-	if k.SemOwnerName(sem) != "" {
+	if k.semOwnerName(sem) != "" {
 		t.Error("fresh semaphore has an owner")
 	}
-	if k.SemWaiters(sem) != 0 || k.SemPreAcquireLen(sem) != 0 || k.SemHolderBoosted(sem) {
+	if s := k.sem(sem); s.waiters.Len() != 0 || len(s.preAcq) != 0 || s.inh.Active {
 		t.Error("fresh semaphore has state")
 	}
 }
@@ -517,7 +517,7 @@ func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
 	sem := k.NewSemaphore("S")
 	ev := k.NewEvent("E")
-	region := k.Memory().NewRegion("priv", 8) // never mapped: faults
+	region := k.memsys.NewRegion("priv", 8) // never mapped: faults
 	wait := task.WaitEvent(ev)
 	wait.Hint = sem
 	th := k.AddTask(task.Spec{Name: "doomed", Period: 20 * vtime.Millisecond, Prog: task.Program{
@@ -533,7 +533,7 @@ func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
 	if k.Stats().Faults == 0 {
 		t.Fatal("no fault")
 	}
-	if got := k.SemPreAcquireLen(sem); got != 0 {
+	if got := len(k.sem(sem).preAcq); got != 0 {
 		t.Errorf("pre-acquire queue leaked %d entries", got)
 	}
 	_ = th
@@ -555,13 +555,13 @@ func TestAccessors(t *testing.T) {
 	}
 	boot(t, n)
 	k.Run(2 * vtime.Millisecond)
-	if k.Current() != th {
-		t.Errorf("current = %v", k.Current())
+	if k.cpus[0].current != th {
+		t.Errorf("current = %v", k.cpus[0].current)
 	}
 	if k.Stats().TotalOverhead() == 0 {
 		t.Error("overhead accessor")
 	}
-	p, _ := k.SemSavedPrio(k.NewSemaphore("s"))
+	p := k.sem(k.NewSemaphore("s")).inh.SavedPrio
 	_ = p
 }
 
@@ -651,7 +651,7 @@ func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 	if victim.TCB.Completions < 4 {
 		t.Errorf("victim starved: %d completions — lock leaked", victim.TCB.Completions)
 	}
-	if k.SemOwnerName(sem) == "buggy" {
+	if k.semOwnerName(sem) == "buggy" {
 		t.Error("buggy still owns the mutex after job end")
 	}
 }
@@ -661,7 +661,7 @@ func TestFaultInsideCriticalSectionReleasesLock(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	sem := k.NewSemaphore("m")
-	region := k.Memory().NewRegion("priv", 8) // unmapped: faults
+	region := k.memsys.NewRegion("priv", 8) // unmapped: faults
 	k.AddTask(task.Spec{Name: "crasher", Period: 20 * vtime.Millisecond, Prog: task.Program{
 		task.Acquire(sem),
 		task.Load(region.ID, 0, 8), // dies here, holding m

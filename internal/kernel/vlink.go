@@ -47,12 +47,6 @@ func (k *Kernel) vlinkOf(id int) *kvlink {
 	return k.vlinks[id]
 }
 
-// VLinkLen reports the number of queued messages (tests).
-func (k *Kernel) VLinkLen(id int) int { return k.vlinkOf(id).q.Len() }
-
-// VLinkDropped reports the drop-mode refusal count (tests).
-func (k *Kernel) VLinkDropped(id int) uint64 { return k.vlinkOf(id).q.Dropped() }
-
 func (k *Kernel) doVSend(th *Thread, op task.Op) {
 	vl := k.vlinkOf(op.Obj)
 	k.lockObj(objVLink, vl.q.ID, k.prof.VLinkOp)

@@ -85,8 +85,8 @@ func TestVLinkKernelDropMode(t *testing.T) {
 	if st.VLinkDropped == 0 {
 		t.Error("no drops recorded on an overloaded drop-mode link")
 	}
-	if st.VLinkDropped != k.VLinkDropped(vl) {
-		t.Errorf("stats dropped=%d queue dropped=%d", st.VLinkDropped, k.VLinkDropped(vl))
+	if st.VLinkDropped != k.vlinkOf(vl).q.Dropped() {
+		t.Errorf("stats dropped=%d queue dropped=%d", st.VLinkDropped, k.vlinkOf(vl).q.Dropped())
 	}
 	if bad := k.CheckInvariants(); bad != nil {
 		t.Errorf("invariants: %v", bad)
@@ -119,8 +119,8 @@ func TestVLinkKernelMPMCFanInFanOut(t *testing.T) {
 	if cons[0].TCB.Completions < 9 || cons[1].TCB.Completions < 9 {
 		t.Errorf("consumer completions: %d, %d", cons[0].TCB.Completions, cons[1].TCB.Completions)
 	}
-	if k.VLinkLen(vl) > 4 {
-		t.Errorf("steady-state backlog = %d", k.VLinkLen(vl))
+	if k.vlinkOf(vl).q.Len() > 4 {
+		t.Errorf("steady-state backlog = %d", k.vlinkOf(vl).q.Len())
 	}
 	if bad := k.CheckInvariants(); bad != nil {
 		t.Errorf("invariants: %v", bad)

@@ -266,9 +266,6 @@ func (s *CSD) Attach(t *task.TCB) vtime.Duration {
 // FPQueue exposes the FP queue for white-box tests.
 func (s *CSD) FPQueue() *schedq.Sorted { return &s.fp }
 
-// DPReady reports the ready counter of DP queue k (tests).
-func (s *CSD) DPReady(k int) int { return s.dp[k].ready }
-
 // DPQueue exposes DP queue k for white-box tests.
 func (s *CSD) DPQueue(k int) *schedq.Unsorted { return &s.dp[k].q }
 

@@ -315,13 +315,13 @@ func TestCSDReadyCounters(t *testing.T) {
 	sorted := AssignRMPriorities(ts)
 	s.Partition().Apply(sorted)
 	s.Admit(sorted)
-	if s.DPReady(0) != 2 {
-		t.Errorf("DP1 ready = %d", s.DPReady(0))
+	if s.dp[0].ready != 2 {
+		t.Errorf("DP1 ready = %d", s.dp[0].ready)
 	}
 	ts[0].State = task.Blocked
 	s.Block(ts[0])
-	if s.DPReady(0) != 1 {
-		t.Errorf("DP1 ready after block = %d", s.DPReady(0))
+	if s.dp[0].ready != 1 {
+		t.Errorf("DP1 ready after block = %d", s.dp[0].ready)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestCSDDoubleBlockKeepsCounter(t *testing.T) {
 	ts[0].State = task.Blocked
 	s.Block(ts[0])
 	s.Block(ts[0]) // double block: must be a no-op
-	if got := s.DPReady(0); got != 1 {
+	if got := s.dp[0].ready; got != 1 {
 		t.Errorf("DP1 ready after double block = %d, want 1", got)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -357,7 +357,7 @@ func TestCSDDoubleBlockKeepsCounter(t *testing.T) {
 	ts[0].State = task.Ready
 	s.Unblock(ts[0])
 	s.Unblock(ts[0])
-	if got := s.DPReady(0); got != 2 {
+	if got := s.dp[0].ready; got != 2 {
 		t.Errorf("DP1 ready after double unblock = %d, want 2", got)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -372,7 +372,7 @@ func TestCSDDoubleBlockKeepsCounter(t *testing.T) {
 		s.Block(dp)
 	}
 	s.Block(ts[1])
-	if got := s.DPReady(0); got != 0 {
+	if got := s.dp[0].ready; got != 0 {
 		t.Errorf("DP1 ready with all DP tasks blocked = %d, want 0", got)
 	}
 	best, _ := s.Select()
@@ -393,12 +393,12 @@ func TestCSDBlockDormantTask(t *testing.T) {
 	sorted := AssignRMPriorities(ts)
 	s.Partition().Apply(sorted)
 	s.Admit(sorted)
-	if got := s.DPReady(0); got != 1 {
+	if got := s.dp[0].ready; got != 1 {
 		t.Fatalf("DP1 ready with one dormant task = %d, want 1", got)
 	}
 	ts[0].State = task.Blocked
 	s.Block(ts[0])
-	if got := s.DPReady(0); got != 1 {
+	if got := s.dp[0].ready; got != 1 {
 		t.Errorf("DP1 ready after blocking never-counted task = %d, want 1", got)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -666,8 +666,8 @@ func TestCSDInheritDPtoDPMigration(t *testing.T) {
 	if holder.CSDCur != 0 {
 		t.Errorf("holder in queue %d, want DP1", holder.CSDCur)
 	}
-	if s.DPReady(0) != 2 { // ts[1] + migrated holder
-		t.Errorf("DP1 ready = %d", s.DPReady(0))
+	if s.dp[0].ready != 2 { // ts[1] + migrated holder
+		t.Errorf("DP1 ready = %d", s.dp[0].ready)
 	}
 	s.Restore(holder, nil, holder.BasePrio, holder.AbsDeadline, true)
 	if holder.CSDCur != 1 {

@@ -238,7 +238,7 @@ func TestSortedInsertAhead(t *testing.T) {
 	q.Insert(ts[3])
 	// The §6.2 optimization: drop ts[1] directly ahead of ts[2]
 	// without a scan.
-	q.InsertAhead(ts[1], ts[2])
+	q.insertAhead(ts[1], ts[2])
 	var got []int
 	q.Each(func(x *task.TCB) { got = append(got, x.ID) })
 	want := []int{0, 1, 2, 3}
@@ -250,7 +250,7 @@ func TestSortedInsertAhead(t *testing.T) {
 	// Ahead of the head.
 	var q2 Sorted
 	q2.Insert(ts[2])
-	q2.InsertAhead(ts[0], ts[2])
+	q2.insertAhead(ts[0], ts[2])
 	if q2.Front() != ts[0] {
 		t.Errorf("front = %v", q2.Front())
 	}
@@ -381,7 +381,7 @@ func TestSortedRecomputeHighest(t *testing.T) {
 		q.Insert(x)
 	}
 	ts[1].State = task.Ready
-	q.RecomputeHighest()
+	q.recomputeHighest()
 	if q.HighestP() != ts[1] {
 		t.Errorf("highestP = %v", q.HighestP())
 	}
@@ -441,7 +441,7 @@ func TestSortedRandomOps(t *testing.T) {
 					if holder.State == task.Ready {
 						q.Unblock(holder)
 					}
-					q.RecomputeHighest()
+					q.recomputeHighest()
 					holder, placeholder = nil, nil
 				}
 			}

@@ -69,11 +69,11 @@ func (q *Sorted) insertAfter(t, after *task.TCB) {
 	q.n++
 }
 
-// InsertAhead links t immediately ahead of ref. O(1). This is the first
+// insertAhead links t immediately ahead of ref. O(1). This is the first
 // §6.2 priority-inheritance optimization: "instead of parsing the FP
 // queue to find the correct position to insert T1, we insert T1
 // directly ahead of T2".
-func (q *Sorted) InsertAhead(t, ref *task.TCB) {
+func (q *Sorted) insertAhead(t, ref *task.TCB) {
 	q.insertAfter(t, ref.QPrev)
 	if t.State == task.Ready && (q.highestP == nil || t.HigherPrio(q.highestP)) {
 		q.highestP = t
@@ -210,9 +210,9 @@ func (q *Sorted) Reposition(t *task.TCB) (scanned int) {
 	return s1 + s2
 }
 
-// RecomputeHighest rescans the whole list for the first ready task.
-// Used after bulk state changes (admission, teardown); O(n).
-func (q *Sorted) RecomputeHighest() {
+// recomputeHighest rescans the whole list for the first ready task;
+// O(n).
+func (q *Sorted) recomputeHighest() {
 	q.highestP, _ = q.nextReady(q.head)
 }
 

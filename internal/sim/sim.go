@@ -80,14 +80,6 @@ type Event struct {
 	canceled bool
 }
 
-// When reports the instant the event is scheduled for.
-func (e *Event) When() vtime.Time { return e.when }
-
-// Canceled reports whether Cancel was called on the event. Only
-// meaningful while the caller still validly holds the pointer (i.e.
-// before the storage is recycled for a later event).
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Label returns the debug label given at scheduling time.
 func (e *Event) Label() string { return e.label }
 
@@ -192,13 +184,6 @@ func (e *Engine) At(t vtime.Time, label string, fn func()) *Event {
 	return e.schedule(t, ClassDefault, label, nil, fn)
 }
 
-// AtClass schedules fn at instant t in the given tie-break class:
-// among events at the same instant, lower classes fire first (FIFO
-// within a class).
-func (e *Engine) AtClass(t vtime.Time, class uint8, label string, fn func()) *Event {
-	return e.schedule(t, class, label, nil, fn)
-}
-
 // After schedules fn to run d after the current instant.
 func (e *Engine) After(d vtime.Duration, label string, fn func()) *Event {
 	return e.schedule(e.now.Add(d), ClassDefault, label, nil, fn)
@@ -207,6 +192,8 @@ func (e *Engine) After(d vtime.Duration, label string, fn func()) *Event {
 // Schedule is the zero-allocation scheduling path: tgt.Fire(ev) runs
 // at instant t. Steady-state it allocates nothing — the Event comes
 // from the engine's pool and tgt is typically a long-lived pointer.
+// Among events at the same instant, lower classes fire first (FIFO
+// within a class).
 func (e *Engine) Schedule(t vtime.Time, class uint8, label string, tgt Target) *Event {
 	return e.schedule(t, class, label, tgt, nil)
 }
@@ -388,8 +375,8 @@ func (e *Engine) Cancel(ev *Event) {
 	e.free(ev)
 }
 
-// NextEventTime reports the instant of the earliest pending event.
-func (e *Engine) NextEventTime() (vtime.Time, bool) {
+// nextEventTime reports the instant of the earliest pending event.
+func (e *Engine) nextEventTime() (vtime.Time, bool) {
 	ev := e.findMin()
 	if ev == nil {
 		return 0, false
@@ -450,9 +437,6 @@ func (e *Engine) Run() {
 // Stop makes the engine refuse further dispatch. Pending events stay
 // queued so post-mortem inspection can see them.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Overflow heap: a plain binary min-heap by (when, class, seq) for
 // events beyond the wheel horizon. Tiny in practice — only far-future

@@ -49,8 +49,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() false")
+	if !ev.canceled {
+		t.Error("Cancel did not mark the event canceled")
 	}
 }
 
@@ -149,8 +149,8 @@ func TestStop(t *testing.T) {
 	if count != 1 {
 		t.Errorf("count = %d", count)
 	}
-	if !e.Stopped() {
-		t.Error("Stopped() false")
+	if !e.stopped {
+		t.Error("Stop did not mark the engine stopped")
 	}
 	if e.Pending() != 1 {
 		t.Errorf("pending = %d, stopped engines keep their queue", e.Pending())
@@ -159,11 +159,11 @@ func TestStop(t *testing.T) {
 
 func TestNextEventTime(t *testing.T) {
 	e := New()
-	if _, ok := e.NextEventTime(); ok {
+	if _, ok := e.nextEventTime(); ok {
 		t.Error("empty engine reported a next event")
 	}
 	e.At(42, "x", func() {})
-	if at, ok := e.NextEventTime(); !ok || at != 42 {
+	if at, ok := e.nextEventTime(); !ok || at != 42 {
 		t.Errorf("next = %v ok=%v", at, ok)
 	}
 }
@@ -171,8 +171,8 @@ func TestNextEventTime(t *testing.T) {
 func TestLabel(t *testing.T) {
 	e := New()
 	ev := e.At(1, "hello", func() {})
-	if ev.Label() != "hello" || ev.When() != 1 {
-		t.Errorf("label=%q when=%v", ev.Label(), ev.When())
+	if ev.Label() != "hello" || ev.when != 1 {
+		t.Errorf("label=%q when=%v", ev.Label(), ev.when)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 			id := seq
 			seq++
 			want = append(want, ref{when, class, id})
-			e.AtClass(when, class, "p", func() {
+			e.schedule(when, class, "p", nil, func() {
 				got = append(got, id)
 				if depth < 2 && rng.Intn(3) == 0 {
 					add(depth + 1) // schedule more from inside dispatch
@@ -137,7 +137,7 @@ func TestFarFutureOverflow(t *testing.T) {
 	e.At(vtime.Time(1)<<52, "far2", func() { got = append(got, 2) })
 	e.At(vtime.Time(1)<<51, "far1", func() { got = append(got, 1) })
 	e.At(100, "near", func() { got = append(got, 0) })
-	if at, ok := e.NextEventTime(); !ok || at != 100 {
+	if at, ok := e.nextEventTime(); !ok || at != 100 {
 		t.Fatalf("next = %v, %v", at, ok)
 	}
 	e.Run()
