@@ -10,8 +10,8 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestBadNumericFlagsRefused: a lock-cell length that simulates
 // nothing, or a queue-count sweep size below one, exits 2 naming the
-// flag instead of running an empty grid, averaging zero workloads into
-// NaN, or panicking (-sweep-n -2).
+// flag. Run on such a value, the tool prints an empty grid, averages
+// zero workloads into NaN, or panics (-sweep-n -2).
 func TestBadNumericFlagsRefused(t *testing.T) {
 	quick := []string{"-len", "3", "-lock-cpus", "1", "-quiet"}
 	for _, args := range [][]string{

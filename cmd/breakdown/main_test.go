@@ -9,8 +9,8 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestBadNumericFlagsRefused: a period divisor or workload count below
-// one exits 2 naming the flag, instead of sweeping with ÷1 or 100
-// workloads while the header reads ÷0.
+// one exits 2 naming the flag. Run on such a value, the sweep uses ÷1
+// or 100 workloads while the header reads ÷0.
 func TestBadNumericFlagsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-div", "0"}, {"-div", "-1"}, {"-workloads", "0"},

@@ -9,9 +9,9 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestBadNumericFlagsRefused: a task count, utilization, period divisor
-// or queue count out of range exits 2 naming the flag, instead of
-// panicking (-n -1) or searching with a substituted default while the
-// output records the value given (-u 0, -div 0).
+// or queue count out of range exits 2 naming the flag. Run on such a
+// value, the search panics (-n -1) or uses a substituted default while
+// the output records the value given (-u 0, -div 0).
 func TestBadNumericFlagsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "-1"}, {"-n", "0"},

@@ -16,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite the golden file")
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestBadNumericFlagsRefused: a run length that simulates nothing, or a
-// scenario flag out of range, exits 2 naming the flag instead of
-// reporting on an empty or substituted run with status 0.
+// scenario flag out of range, exits 2 naming the flag; run on it, the
+// tool would report on an empty or substituted run with status 0.
 func TestBadNumericFlagsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		flag string

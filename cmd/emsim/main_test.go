@@ -9,8 +9,8 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestBadNumericFlagsRefused: a run length that simulates nothing, or a
-// workload flag out of range, exits 2 naming the flag instead of
-// printing an empty or substituted run with status 0.
+// workload flag out of range, exits 2 naming the flag; run on it, the
+// tool would print an empty or substituted run with status 0.
 func TestBadNumericFlagsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		flag string

@@ -214,10 +214,11 @@ func (c *Common) Positive(name string, v float64) {
 // Millis returns the virtual-milliseconds flag name as a duration,
 // exiting 2 unless the span is positive and fits a vtime.Duration.
 func (c *Common) Millis(name string, ms float64) vtime.Duration {
-	if !(ms > 0 && ms < float64(vtime.Forever)/float64(vtime.Millisecond)) || vtime.Millis(ms) <= 0 {
+	d := vtime.Millis(ms)
+	if !(ms > 0 && ms < float64(vtime.Forever)/float64(vtime.Millisecond)) || d <= 0 {
 		c.Fatalf("bad -%s: %v (want a positive number of milliseconds)", name, ms)
 	}
-	return vtime.Millis(ms)
+	return d
 }
 
 // Ints parses a comma-separated integer list flag, exiting 2 on a bad
