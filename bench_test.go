@@ -392,7 +392,7 @@ func BenchmarkAblationCSDCounters(b *testing.B) {
 // push/pop pair, the queue-management counterpart of
 // BenchmarkStateMessageOp.
 func BenchmarkMailboxOp(b *testing.B) {
-	m := ipc.NewMailbox(0, "bench", 8)
+	m := ipc.NewQueue(0, "bench", 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Push(ipc.Msg{Val: int64(i), Size: 8})
@@ -481,15 +481,11 @@ func BenchmarkMailboxContended(b *testing.B) {
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
 			var mu sync.Mutex
-			m := ipc.NewMailbox(0, "bench", 256)
+			m := ipc.NewQueue(0, "bench", 256)
 			enq := func(msg ipc.Msg) bool {
 				mu.Lock()
 				defer mu.Unlock()
-				if m.Full() {
-					return false
-				}
-				m.Push(msg)
-				return true
+				return m.Push(msg)
 			}
 			deq := func() (ipc.Msg, bool) {
 				mu.Lock()

@@ -6,12 +6,12 @@ import (
 )
 
 func TestMailboxFIFO(t *testing.T) {
-	m := NewMailbox(0, "m", 4)
+	m := NewQueue(0, "m", 4)
 	for i := int64(1); i <= 4; i++ {
 		m.Push(Msg{Val: i, Size: 8})
 	}
-	if !m.Full() {
-		t.Error("should be full")
+	if m.Space() != 0 {
+		t.Errorf("space = %d, want full", m.Space())
 	}
 	for i := int64(1); i <= 4; i++ {
 		got, ok := m.Pop()
@@ -19,13 +19,13 @@ func TestMailboxFIFO(t *testing.T) {
 			t.Fatalf("pop = %d/%v, want %d", got.Val, ok, i)
 		}
 	}
-	if !m.Empty() {
-		t.Error("should be empty")
+	if m.Len() != 0 {
+		t.Errorf("len = %d, want empty", m.Len())
 	}
 }
 
 func TestMailboxWrapAround(t *testing.T) {
-	m := NewMailbox(0, "m", 3)
+	m := NewQueue(0, "m", 3)
 	for round := int64(0); round < 10; round++ {
 		m.Push(Msg{Val: round})
 		m.Push(Msg{Val: round + 100})
@@ -43,7 +43,7 @@ func TestMailboxWrapAround(t *testing.T) {
 // mailbox is refused (the kernel then blocks the sender, an ISR drops
 // the sample) and must neither panic nor disturb the queued messages.
 func TestMailboxPushFullRefused(t *testing.T) {
-	m := NewMailbox(0, "m", 1)
+	m := NewQueue(0, "m", 1)
 	if !m.Push(Msg{Val: 1}) {
 		t.Fatal("push into empty mailbox refused")
 	}
@@ -59,7 +59,7 @@ func TestMailboxPushFullRefused(t *testing.T) {
 // empty mailbox reports ok=false instead of panicking, and the mailbox
 // stays usable.
 func TestMailboxPopEmptyRefused(t *testing.T) {
-	m := NewMailbox(0, "m", 1)
+	m := NewQueue(0, "m", 1)
 	if _, ok := m.Pop(); ok {
 		t.Error("pop from empty mailbox succeeded")
 	}
@@ -73,14 +73,14 @@ func TestMailboxPopEmptyRefused(t *testing.T) {
 }
 
 func TestMailboxMinimumCapacity(t *testing.T) {
-	m := NewMailbox(0, "m", 0)
+	m := NewQueue(0, "m", 0)
 	if m.Cap() != 1 {
 		t.Errorf("cap = %d", m.Cap())
 	}
 }
 
 func TestMailboxLen(t *testing.T) {
-	m := NewMailbox(0, "m", 5)
+	m := NewQueue(0, "m", 5)
 	for i := 0; i < 3; i++ {
 		m.Push(Msg{})
 	}

@@ -13,9 +13,10 @@
 //
 // Steady-state operation performs zero allocations (the cell array is
 // laid out once at construction), which the AllocsPerRun gate in
-// vlink_test.go pins. The simulated kernel object (internal/kernel
-// vlink.go) mirrors this structure's O(1) cost profile in virtual time;
-// this package is the one that real goroutines hammer under -race.
+// vlink_test.go pins. The simulated kernel object (the virtual-link
+// kind in internal/kernel/link.go) mirrors this structure's O(1) cost
+// profile in virtual time; this package is the one that real goroutines
+// hammer under -race.
 package vlink
 
 import (

@@ -455,9 +455,9 @@ func (k *Kernel) performOp(th *Thread, op task.Op) {
 		k.doWaitEvent(th, op)
 	case task.OpSignalEvent:
 		k.doSignalEvent(th, op)
-	case task.OpSend:
+	case task.OpSend, task.OpVSend:
 		k.doSend(th, op)
-	case task.OpRecv:
+	case task.OpRecv, task.OpVRecv:
 		k.doRecv(th, op)
 	case task.OpStateWrite:
 		k.doStateWrite(th, op)
@@ -477,10 +477,6 @@ func (k *Kernel) performOp(th *Thread, op task.Op) {
 		k.doBusSend(th, op)
 	case task.OpDelay:
 		k.doDelay(th, op)
-	case task.OpVSend:
-		k.doVSend(th, op)
-	case task.OpVRecv:
-		k.doVRecv(th, op)
 	default:
 		panic(fmt.Sprintf("kernel: unknown op %v", op))
 	}

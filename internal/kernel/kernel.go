@@ -261,8 +261,8 @@ type Kernel struct {
 	sems   []*semaphore
 	events []*kevent
 	cvs    []*condvar
-	mboxes []*kmailbox
-	vlinks []*kvlink
+	mboxes []*link
+	vlinks []*link
 	states []*ipc.StateMessage
 	memsys *mem.System
 	devs   []Device
@@ -514,20 +514,6 @@ func (k *Kernel) ReadyCountOn(c int) int {
 		if th.TCB.CPU == c && th.TCB.State == task.Ready && !th.migrating && th != k.cpus[c].current {
 			n++
 		}
-	}
-	return n
-}
-
-// QueuedMessages reports the instantaneous total of messages sitting in
-// all mailboxes and virtual links — the occupancy gauge the telemetry
-// sampler records.
-func (k *Kernel) QueuedMessages() int {
-	n := 0
-	for _, mb := range k.mboxes {
-		n += mb.box.Len()
-	}
-	for _, vl := range k.vlinks {
-		n += vl.q.Len()
 	}
 	return n
 }

@@ -4,170 +4,16 @@ import (
 	"fmt"
 
 	"emeralds/internal/ipc"
-	"emeralds/internal/ksync"
 	"emeralds/internal/mem"
 	"emeralds/internal/metrics"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
 
-// This file implements the intra-node IPC services of Figure 1 —
-// mailboxes (blocking, copying) and the state messages of §7 (wait-free
-// shared state) — plus the memory-protected load/store path, device
-// driver calls, interrupts, and the fieldbus attachment points used by
-// the distributed examples.
-
-type kmailbox struct {
-	box   *ipc.Mailbox
-	sendq ksync.WaitQueue
-	recvq ksync.WaitQueue
-}
-
-// NewMailbox creates a mailbox with the given capacity and returns its
-// id.
-func (k *Kernel) NewMailbox(name string, capacity int) int {
-	if name == "" {
-		name = fmt.Sprintf("mbox%d", len(k.mboxes))
-	}
-	mb := &kmailbox{box: ipc.NewMailbox(len(k.mboxes), name, capacity)}
-	mb.box.Observe(k.met)
-	k.chargeRAM("mailbox", mem.RAMPerMailbox+mb.box.Cap()*mem.RAMPerMsgSlot)
-	k.mboxes = append(k.mboxes, mb)
-	return mb.box.ID
-}
-
-func (k *Kernel) mbox(id int) *kmailbox {
-	if id < 0 || id >= len(k.mboxes) {
-		panic(fmt.Sprintf("kernel: no mailbox %d", id))
-	}
-	return k.mboxes[id]
-}
-
-// MailboxLen reports the number of queued messages (tests).
-func (k *Kernel) MailboxLen(id int) int { return k.mbox(id).box.Len() }
-
-func (k *Kernel) doSend(th *Thread, op task.Op) {
-	mb := k.mbox(op.Obj)
-	k.lockObj(objMbox, mb.box.ID, k.prof.MailboxOp)
-	if !mb.box.Push(ipc.Msg{Val: op.Val, Size: op.Size}) {
-		// Mailbox full: block the sender; its send completes when space
-		// frees up.
-		k.exec.met.Inc(metrics.MailboxBlocks)
-		th.TCB.PendingHint = op.Hint
-		mb.sendq.Add(th.TCB)
-		th.TCB.State = task.Blocked
-		k.blockTask(th.TCB)
-		k.traceOccupancyEnd(th, traceKindBlock, mb.box.Name+" full")
-		k.reschedule()
-		return
-	}
-	th.TCB.PC++
-	k.trAdd(traceKindMsgSend, th.TCB.Name, mb.box.Name)
-	if k.pumpMailbox(mb) {
-		k.reschedule()
-	}
-}
-
-func (k *Kernel) doRecv(th *Thread, op task.Op) {
-	mb := k.mbox(op.Obj)
-	k.lockObj(objMbox, mb.box.ID, k.prof.MailboxOp)
-	msg, ok := mb.box.Pop()
-	if !ok {
-		// Mailbox empty: block the receiver until a message arrives.
-		k.exec.met.Inc(metrics.MailboxBlocks)
-		th.TCB.PendingHint = op.Hint
-		mb.recvq.Add(th.TCB)
-		th.TCB.State = task.Blocked
-		k.blockTask(th.TCB)
-		k.traceOccupancyEnd(th, traceKindBlock, mb.box.Name+" empty")
-		k.reschedule()
-		return
-	}
-	th.msgVal = msg.Val
-	th.TCB.PC++
-	k.trAdd(traceKindMsgRecv, th.TCB.Name, mb.box.Name)
-	if k.completePendingSends(mb) {
-		k.reschedule()
-	}
-}
-
-// pumpMailbox delivers queued messages to blocked receivers, reporting
-// whether any thread became ready.
-func (k *Kernel) pumpMailbox(mb *kmailbox) bool {
-	woke := false
-	for !mb.box.Empty() && mb.recvq.Len() > 0 {
-		wTCB := mb.recvq.PopHighest()
-		w := k.thOf(wTCB)
-		msg, _ := mb.box.Pop() // loop condition guarantees non-empty
-		w.msgVal = msg.Val
-		// Charge the receiver-side copy now that the data moves.
-		k.charge(k.prof.MailboxTransfer(msg.Size), &k.stats.IPCCharge)
-		wTCB.PC++ // past the recv op
-		k.trAdd(traceKindMsgRecv, wTCB.Name, mb.box.Name)
-		if k.wakeup(w) {
-			woke = true
-		}
-	}
-	if k.completePendingSends(mb) {
-		woke = true
-	}
-	return woke
-}
-
-// completePendingSends finishes blocked sends while space is available,
-// reporting whether any thread became ready.
-func (k *Kernel) completePendingSends(mb *kmailbox) bool {
-	woke := false
-	for !mb.box.Full() && mb.sendq.Len() > 0 {
-		sTCB := mb.sendq.PopHighest()
-		s := k.thOf(sTCB)
-		prog := sTCB.Spec.Prog
-		if sTCB.PC < len(prog) && prog[sTCB.PC].Kind == task.OpSend {
-			op := prog[sTCB.PC]
-			mb.box.Push(ipc.Msg{Val: op.Val, Size: op.Size}) // loop condition guarantees space
-			k.charge(k.prof.MailboxTransfer(op.Size), &k.stats.IPCCharge)
-			sTCB.PC++
-			k.trAdd(traceKindMsgSend, sTCB.Name, mb.box.Name)
-		}
-		if k.wakeup(s) {
-			woke = true
-		}
-		// Newly pushed data may satisfy a blocked receiver in turn.
-		for !mb.box.Empty() && mb.recvq.Len() > 0 {
-			wTCB := mb.recvq.PopHighest()
-			w := k.thOf(wTCB)
-			msg, _ := mb.box.Pop()
-			w.msgVal = msg.Val
-			k.charge(k.prof.MailboxTransfer(msg.Size), &k.stats.IPCCharge)
-			wTCB.PC++
-			if k.wakeup(w) {
-				woke = true
-			}
-		}
-	}
-	return woke
-}
-
-// InjectMessage deposits a message into a mailbox from interrupt
-// context (fieldbus reception, device input). A full mailbox drops the
-// message — fieldbus data is periodic state, so the next sample
-// supersedes it. Reports whether it was delivered.
-func (k *Kernel) InjectMessage(id int, val int64, size int) bool {
-	k.exec = k.cpus[0] // interrupts are wired to CPU 0
-	k.exec.met.Inc(metrics.Interrupts)
-	k.charge(k.prof.InterruptEntry, &k.stats.TimerCharge)
-	mb := k.mbox(id)
-	if !mb.box.Push(ipc.Msg{Val: val, Size: size}) {
-		k.exec.met.Inc(metrics.MailboxDrops)
-		k.trAdd(traceKindInterrupt, "isr", mb.box.Name+" drop")
-		return false
-	}
-	k.trAdd(traceKindInterrupt, "isr", mb.box.Name)
-	if k.pumpMailbox(mb) {
-		k.reschedule()
-	}
-	return true
-}
+// This file implements the state messages of §7 (wait-free shared
+// state; the queue objects are in link.go), plus the memory-protected
+// load/store path, device driver calls, interrupts, and the fieldbus
+// attachment points used by the distributed examples.
 
 // --- state messages (§7) ---------------------------------------------
 

@@ -369,10 +369,10 @@ func TestSetAlarmInvalidEventPanics(t *testing.T) {
 }
 
 // When several senders sleep on a full mailbox, each freed slot must go
-// to the highest-priority waiter — completePendingSends pops the wait
-// queue in priority order, not FIFO. Three EDF senders with distinct
-// deadlines block behind a 1-slot box; the drain order in the trace
-// must follow their deadlines.
+// to the highest-priority waiter — pump completes parked sends in
+// priority order, not FIFO. Three EDF senders with distinct deadlines
+// block behind a 1-slot box; the drain order in the trace must follow
+// their deadlines.
 func TestCompletePendingSendsPriorityOrder(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true, TraceCapacity: 1 << 12})
