@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"emeralds/internal/ipc"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
@@ -84,3 +85,47 @@ func TestCheckInvariantsDetectsLeakedLock(t *testing.T) {
 		t.Fatalf("leaked lock not detected; audit returned %v", bad)
 	}
 }
+
+// TestCheckInvariantsDetectsLostWakeup: a task left parked on a mailbox
+// or virtual link although pump should have moved it on must be
+// reported. Each fault is set up by hand on a booted node whose one
+// task sits at its send op.
+func TestCheckInvariantsDetectsLostWakeup(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		vlink, drop bool
+		park        func(l *link, tcb *task.TCB)
+		want        string
+	}{
+		{"mailbox receiver with mail", false, false, parkReceiverWithMail, "1 messages queued while 1 receivers blocked"},
+		{"vlink receiver with mail", true, false, parkReceiverWithMail, "1 messages queued while 1 receivers blocked"},
+		{"mailbox sender that fits", false, false, parkSender, "fit the head batch of 1 while 1 senders blocked"},
+		{"vlink sender that fits", true, false, parkSender, "fit the head batch of 2 while 1 senders blocked"},
+		{"sender on a drop-mode vlink", true, true, parkSender, "1 senders blocked on a drop-mode link"},
+	} {
+		n, k := newNode(sim.Config{Policy: sim.PolicyRM, StandardSem: true})
+		send := task.Send(k.NewMailbox("q", 4), 1, 8)
+		links := &k.mboxes
+		if tc.vlink {
+			send = task.VSend(k.NewVLink("q", 4, tc.drop), 1, 8, 2)
+			links = &k.vlinks
+		}
+		th := k.AddTask(task.Spec{Name: "t0", Period: 5 * vtime.Millisecond, Prog: task.Program{send}})
+		boot(t, n)
+		if bad := k.CheckInvariants(); bad != nil {
+			t.Fatalf("%s: audit failed before the fault: %v", tc.name, bad)
+		}
+		tc.park((*links)[0], th.TCB)
+		bad := k.CheckInvariants()
+		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
+			t.Errorf("%s: audit returned %q, want one finding containing %q", tc.name, bad, tc.want)
+		}
+	}
+}
+
+func parkReceiverWithMail(l *link, tcb *task.TCB) {
+	l.q.Push(ipc.Msg{Val: 1, Size: 8})
+	l.recvq.Add(tcb)
+}
+
+func parkSender(l *link, tcb *task.TCB) { l.sendq.Add(tcb) }
