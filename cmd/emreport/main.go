@@ -7,14 +7,14 @@
 //
 //	emreport                             # replay the Table 2 workload on CSD-3
 //	emreport -policy rm -ms 200          # watch RM's τ₅ misses get explained
-//	emreport -trace trace.json           # analyze an emsim/emtrace trace export
+//	emreport -trace trace.json           # analyze an emsim -trace-out export
 //	emreport -trace t.json -syncheck     # + communication synchronizability check
 //	emreport -json                       # artifact with attribution block in results/
 //
 // -trace accepts either a raw emeralds.trace/v1 JSON log or a Perfetto
-// export produced by emsim -trace-out / emtrace (the raw log rides
-// along inside). Output is deterministic: the same trace or scenario
-// always renders the same bytes, regardless of -workers.
+// export produced by emsim -trace-out (the raw log rides along
+// inside). Output is deterministic: the same trace or scenario always
+// renders the same bytes, regardless of -workers.
 package main
 
 import (

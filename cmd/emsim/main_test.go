@@ -1,12 +1,47 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"emeralds/internal/cli/clitest"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden trace export")
+
 func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestGoldenExport locks the -trace-out Perfetto export of a 20 ms
+// slice of the Table 2 workload on the default CSD-3 build
+// byte-for-byte: the simulation is deterministic and the encoder
+// orders keys lexically, so any diff means the trace format (or the
+// kernel's event sequence) changed. Regenerate deliberately with
+// `go test ./cmd/emsim -update` and review the diff.
+func TestGoldenExport(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.json")
+	clitest.Run(t, "-ms", "20", "-quiet", "-trace-out", out)
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "trace_golden.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("export differs from %s (%d vs %d bytes); regenerate with -update if the change is intended",
+			golden, len(got), len(want))
+	}
+}
 
 // TestBadNumericFlagsRefused: a run length that simulates nothing, or a
 // workload flag out of range, exits 2 naming the flag; run on it, the

@@ -1,45 +1,25 @@
-// Command emtrace works with Chrome/Perfetto trace exports and the
-// observability blocks of emeralds.artifact/v1 JSON files.
+// Command emtrace validates Chrome/Perfetto trace exports and the
+// observability blocks of emeralds.artifact/v1 JSON files. Traces are
+// written by `emsim -trace-out` (and emfuzz -trace-out for repros).
 //
-//	emtrace -o trace.json                  # run the Table 2 workload, export its trace
-//	emtrace -n 12 -u 0.8 -o trace.json     # random workload
 //	emtrace -check-trace trace.json        # validate a trace-event file
 //	emtrace -check-artifact results/x.json # validate an artifact's diagnostics block
 //
-// The exported JSON loads directly in ui.perfetto.dev or
-// chrome://tracing: one track per task, a slice per scheduling
-// quantum, instants for misses/faults/IPC, and flow arrows from each
-// semaphore grant to the waiter's next dispatch. The -check modes are
-// the CI smoke tests: they exit non-zero with a diagnostic when a file
-// does not match the expected shape.
+// These are the CI smoke tests: they exit non-zero with a diagnostic
+// when a file does not match the expected shape.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"emeralds/internal/harness"
-	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
-	"emeralds/internal/sim"
-	"emeralds/internal/task"
-	"emeralds/internal/vtime"
-	"emeralds/internal/workload"
 )
 
 func main() {
-	policy := flag.String("policy", "csd", "scheduler: csd, edf, rm, rm-heap, fp")
-	queues := flag.Int("queues", 3, "CSD queue count")
-	n := flag.Int("n", 0, "random workload size (0 = use the Table 2 workload)")
-	u := flag.Float64("u", 0.7, "random workload utilization")
-	div := flag.Int("div", 1, "period divisor")
-	ms := flag.Float64("ms", 100, "virtual milliseconds to run")
-	seed := flag.Int64("seed", 1, "random workload seed")
-	standard := flag.Bool("standard-sem", false, "use the standard §6.1 semaphore scheme")
-	out := flag.String("o", "", "output path (default stdout)")
 	checkArt := flag.String("check-artifact", "", "validate an artifact's diagnostics block and exit")
 	checkTr := flag.String("check-trace", "", "validate a trace-event JSON file and exit")
 	flag.Parse()
@@ -61,68 +41,9 @@ func main() {
 		}
 		fmt.Printf("emtrace: %s: %s\n", *checkTr, stats)
 	default:
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		cfg := exportConfig{
-			Policy: *policy, Queues: *queues, N: *n, U: *u, Div: *div,
-			Seed: *seed, Millis: *ms, StandardSem: *standard,
-		}
-		if err := runExport(cfg, w); err != nil {
-			fail(err)
-		}
+		fmt.Fprintln(os.Stderr, "usage: emtrace -check-trace FILE | -check-artifact FILE (export a trace with emsim -trace-out FILE)")
+		os.Exit(2)
 	}
-}
-
-// exportConfig mirrors emsim's simulation flags.
-type exportConfig struct {
-	Policy      string
-	Queues      int
-	N           int
-	U           float64
-	Div         int
-	Seed        int64
-	Millis      float64
-	StandardSem bool
-}
-
-// runExport boots a system on the configured workload, runs it, and
-// writes the Perfetto export. Fully deterministic: the same config
-// always produces the same bytes.
-func runExport(cfg exportConfig, w io.Writer) error {
-	var specs []task.Spec
-	if cfg.N > 0 {
-		specs = workload.Generate(workload.Config{
-			N: cfg.N, Utilization: cfg.U, PeriodDiv: cfg.Div, Seed: cfg.Seed,
-		})
-	} else {
-		specs = workload.Table2()
-	}
-	sys, err := kernel.Boot(sim.Config{
-		Policy:        cfg.Policy,
-		Queues:        cfg.Queues,
-		StandardSem:   cfg.StandardSem,
-		TraceCapacity: 1 << 20,
-	}, func(sys *kernel.Node) error {
-		for _, s := range specs {
-			sys.AddTask(s)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sys.Run(vtime.Millis(cfg.Millis))
-	if d := sys.Trace().Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "emtrace: WARNING: trace ring dropped %d events; the export is truncated\n", d)
-	}
-	return sys.Trace().ExportPerfetto(w)
 }
 
 // checkArtifact validates that an artifact carries a well-formed

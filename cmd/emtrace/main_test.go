@@ -1,65 +1,21 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"emeralds/internal/cli/clitest"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden trace export")
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// goldenConfig keeps the golden run small: a short slice of the
-// Table 2 workload on the default CSD-3 build.
-var goldenConfig = exportConfig{
-	Policy: "csd", Queues: 3, Millis: 20, Seed: 1, U: 0.7, Div: 1,
-}
-
-// TestGoldenExport locks the Perfetto export byte-for-byte: the
-// simulation is deterministic and the encoder orders keys lexically,
-// so any diff means the trace format (or the kernel's event sequence)
-// changed. Regenerate deliberately with `go test ./cmd/emtrace
-// -update` and review the diff.
-func TestGoldenExport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runExport(goldenConfig, &buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("export differs from %s (%d vs %d bytes); regenerate with -update if the change is intended",
-			golden, buf.Len(), len(want))
-	}
-}
-
-// TestExportPassesOwnChecker: the exporter's output satisfies
-// -check-trace, so the CI smoke test can't drift from the format.
+// TestExportPassesOwnChecker: the committed emsim -trace-out export,
+// which cmd/emsim's TestGoldenExport pins to the exporter's current
+// output, satisfies -check-trace, so the CI smoke test can't drift from
+// the format.
 func TestExportPassesOwnChecker(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runExport(goldenConfig, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := checkTrace(path)
+	stats, err := checkTrace(filepath.Join("..", "emsim", "testdata", "trace_golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,4 +43,12 @@ func TestCheckTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// TestNoCheckFlagRefused: without a -check-* flag there is nothing to
+// do; the tool exits 2 and points to the exporter instead of writing a
+// trace of its own, and the old export flags are gone.
+func TestNoCheckFlagRefused(t *testing.T) {
+	clitest.Refused(t, "emsim -trace-out")
+	clitest.Refused(t, "flag provided but not defined: -o", "-o", "trace.json")
 }
