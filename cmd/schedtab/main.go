@@ -24,6 +24,14 @@ func main() {
 	r := flag.Int("r", 15, "Table 3: total DP tasks")
 	n := flag.Int("n", 30, "Table 3: total tasks")
 	c.Parse()
+	if *table < 0 || *table > 3 {
+		c.Fatalf("bad -table: %d (want 0–3)", *table)
+	}
+	// Table 3's three CSD queues hold q, r−q and n−r tasks; an empty
+	// queue yields negative costs.
+	c.AtLeast("q", *q, 1)
+	c.AtLeast("r", *r, *q+1)
+	c.AtLeast("n", *n, *r+1)
 
 	type series struct {
 		Table1  []experiments.Table1Row    `json:"table1,omitempty"`
