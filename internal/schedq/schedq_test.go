@@ -230,32 +230,6 @@ func TestSortedRemove(t *testing.T) {
 	}
 }
 
-func TestSortedInsertAhead(t *testing.T) {
-	var q Sorted
-	ts := mkTasks(4)
-	q.Insert(ts[0])
-	q.Insert(ts[2])
-	q.Insert(ts[3])
-	// The §6.2 optimization: drop ts[1] directly ahead of ts[2]
-	// without a scan.
-	q.insertAhead(ts[1], ts[2])
-	var got []int
-	q.Each(func(x *task.TCB) { got = append(got, x.ID) })
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-	// Ahead of the head.
-	var q2 Sorted
-	q2.Insert(ts[2])
-	q2.insertAhead(ts[0], ts[2])
-	if q2.Front() != ts[0] {
-		t.Errorf("front = %v", q2.Front())
-	}
-}
-
 func TestSortedSwapNonAdjacent(t *testing.T) {
 	var q Sorted
 	ts := mkTasks(5)
@@ -373,20 +347,6 @@ func TestSortedReposition(t *testing.T) {
 	}
 }
 
-func TestSortedRecomputeHighest(t *testing.T) {
-	var q Sorted
-	ts := mkTasks(3)
-	for _, x := range ts {
-		x.State = task.Blocked
-		q.Insert(x)
-	}
-	ts[1].State = task.Ready
-	q.recomputeHighest()
-	if q.HighestP() != ts[1] {
-		t.Errorf("highestP = %v", q.HighestP())
-	}
-}
-
 // TestSortedRandomOps drives the queue with random legal operation
 // sequences (block, unblock, PI swap + restore) and checks invariants
 // after every step — the §6.2 mechanics must never corrupt the list.
@@ -433,15 +393,15 @@ func TestSortedRandomOps(t *testing.T) {
 					h.EffPrio = w.EffPrio
 					q.Swap(h, w)
 				}
-			case 3: // end the PI window
+			case 3: // end the PI window as RM.Restore's protocol does
 				if holder != nil {
+					// Swap back, then hand the lock to the place-holder
+					// waiter: unblocking it re-establishes highestP in
+					// O(1), with no rescan.
 					q.Swap(holder, placeholder)
 					holder.EffPrio = holder.BasePrio
-					// Re-assert highestP ordering after the restore.
-					if holder.State == task.Ready {
-						q.Unblock(holder)
-					}
-					q.recomputeHighest()
+					placeholder.State = task.Ready
+					q.Unblock(placeholder)
 					holder, placeholder = nil, nil
 				}
 			}

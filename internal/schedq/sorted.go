@@ -69,17 +69,6 @@ func (q *Sorted) insertAfter(t, after *task.TCB) {
 	q.n++
 }
 
-// insertAhead links t immediately ahead of ref. O(1). This is the first
-// §6.2 priority-inheritance optimization: "instead of parsing the FP
-// queue to find the correct position to insert T1, we insert T1
-// directly ahead of T2".
-func (q *Sorted) insertAhead(t, ref *task.TCB) {
-	q.insertAfter(t, ref.QPrev)
-	if t.State == task.Ready && (q.highestP == nil || t.HigherPrio(q.highestP)) {
-		q.highestP = t
-	}
-}
-
 // Remove unlinks t. If t was highestP the pointer advances to the next
 // ready task; the scan cost is returned.
 func (q *Sorted) Remove(t *task.TCB) (scanned int) {
@@ -208,12 +197,6 @@ func (q *Sorted) Reposition(t *task.TCB) (scanned int) {
 	s1 := q.Remove(t)
 	s2 := q.Insert(t)
 	return s1 + s2
-}
-
-// recomputeHighest rescans the whole list for the first ready task;
-// O(n).
-func (q *Sorted) recomputeHighest() {
-	q.highestP, _ = q.nextReady(q.head)
 }
 
 // Front returns the head of the list (highest priority position).
