@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -367,5 +368,39 @@ func TestNegativeCPURefused(t *testing.T) {
 	an, err := attrib.Analyze(events, 0)
 	if err == nil || !strings.Contains(err.Error(), "event 1 ") {
 		t.Fatalf("Analyze(cpu -1) = %v, %v; want an error naming event 1", an, err)
+	}
+}
+
+// TestHugeCPUIDReplays: the replay interns CPU ids, so a raw trace that
+// names CPU 2,000,000,000 costs one per-CPU slot, not a slate of two
+// billion.
+func TestHugeCPUIDReplays(t *testing.T) {
+	raw := `{"schema": "emeralds.trace/v1", "total": 8, "dropped": 0, "events": [
+		{"at": 0, "kind": "task-info", "task": "a", "detail": "prio=0 period=100 deadline=100", "cpu": 2000000000},
+		{"at": 0, "kind": "release", "task": "a"},
+		{"at": 0, "kind": "release", "task": "b"},
+		{"at": 10, "kind": "dispatch", "task": "b", "cpu": 2000000000},
+		{"at": 30, "kind": "preempt", "task": "b", "cpu": 2000000000},
+		{"at": 30, "kind": "dispatch", "task": "a", "cpu": 2000000000},
+		{"at": 40, "kind": "complete", "task": "a", "cpu": 2000000000},
+		{"at": 40, "kind": "idle", "cpu": 2000000000}]}`
+	events, dropped, err := trace.ParseJSON([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := attrib.Analyze(events, dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Activations) != 2 || an.Activations[0].Task != "a" {
+		t.Fatalf("activations %+v, want a's then b's", an.Activations)
+	}
+	want := []attrib.Interval{
+		{From: 0, To: 10, Comp: attrib.Preempted, Culprit: "idle"},
+		{From: 10, To: 30, Comp: attrib.Preempted, Culprit: "b"},
+		{From: 30, To: 40, Comp: attrib.Running},
+	}
+	if got := an.Activations[0].Intervals; !reflect.DeepEqual(got, want) {
+		t.Errorf("a's intervals %+v, want %+v", got, want)
 	}
 }
