@@ -31,6 +31,7 @@ func (k *Kernel) doDelay(th *Thread, op task.Op) {
 		if th.suspended {
 			// The delay expired under suspension; Resume will release
 			// the thread.
+			th.resumable = true
 			return
 		}
 		k.charge(k.prof.TimerInterrupt, &k.stats.TimerCharge)
@@ -51,6 +52,7 @@ func (k *Kernel) Suspend(th *Thread) {
 	}
 	k.exec = k.cpuOf(th)
 	th.suspended = true
+	th.resumable = th.TCB.State == task.Ready
 	if th.TCB.State == task.Ready {
 		th.TCB.State = task.Blocked
 		k.blockTask(th.TCB)
@@ -68,15 +70,19 @@ func (k *Kernel) Suspend(th *Thread) {
 	}
 }
 
-// Resume lifts a suspension. If a job was in flight it becomes
-// runnable again; otherwise the thread waits for its next release.
+// Resume lifts a suspension. A job in flight becomes runnable again if
+// it was ready when suspended or its wait ended meanwhile; a job still
+// waiting (on a delay, event or message queue) stays parked until its
+// wakeup. Without a job the thread waits for its next release.
 func (k *Kernel) Resume(th *Thread) {
 	if !th.suspended {
 		return
 	}
 	k.exec = k.cpuOf(th)
 	th.suspended = false
-	if th.jobActive && th.TCB.State == task.Blocked && th.waitingSem == nil && th.reacquire == nil {
+	resumable := th.resumable
+	th.resumable = false
+	if resumable && th.jobActive && th.TCB.State == task.Blocked && th.waitingSem == nil && th.reacquire == nil {
 		th.TCB.State = task.Ready
 		k.unblockTask(th.TCB)
 		k.trAdd(traceKindUnblock, th.TCB.Name, "resume")

@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
@@ -127,5 +129,89 @@ func TestSuspendAbsorbsWakeups(t *testing.T) {
 	}
 	if th.TCB.MaxResp < 10*vtime.Millisecond {
 		t.Errorf("resp = %v, woke during suspension", th.TCB.MaxResp)
+	}
+}
+
+// eventsOf returns the trace events of kind for the named task.
+func eventsOf(k *Kernel, kind trace.Kind, name string) []trace.Event {
+	var out []trace.Event
+	for _, e := range k.Trace().Events() {
+		if e.Kind == kind && e.Task == name {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestResumeLeavesParkedSenderParked: a sender parked on a full
+// mailbox, suspended and resumed before any receiver drains it, stays
+// parked. Re-running its send would queue it on the mailbox twice, and
+// the receiver's pump would then wake it twice.
+func TestResumeLeavesParkedSenderParked(t *testing.T) {
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: costmodel.Zero(), StandardSem: true,
+		TraceCapacity: 1 << 12})
+	mb := k.NewMailbox("mb", 1)
+	snd := k.AddTask(task.Spec{Name: "snd", Period: 50 * vtime.Millisecond, Prog: task.Program{
+		task.Send(mb, 1, 8), task.Send(mb, 2, 8), task.Compute(vtime.Millisecond)}})
+	k.AddTask(task.Spec{Name: "rcv", Period: 50 * vtime.Millisecond, Phase: 5 * vtime.Millisecond,
+		Prog: task.Program{task.Recv(mb), task.Recv(mb)}})
+	boot(t, n)
+	k.Engine().At(vtime.Time(2*vtime.Millisecond), "suspend", func() { k.Suspend(snd) })
+	k.Engine().At(vtime.Time(3*vtime.Millisecond), "resume", func() { k.Resume(snd) })
+	k.Run(20 * vtime.Millisecond)
+	if blocks := eventsOf(k, trace.BlockEv, "snd"); len(blocks) != 1 {
+		t.Errorf("snd blocked %d times, want once (on the full mailbox): %v", len(blocks), blocks)
+	}
+	unblocks := eventsOf(k, trace.UnblockEv, "snd")
+	if len(unblocks) != 1 || unblocks[0].At != vtime.Time(5*vtime.Millisecond) {
+		t.Errorf("snd unblocked at %v, want once at 5ms when rcv drains the mailbox", unblocks)
+	}
+	if snd.TCB.Completions != 1 {
+		t.Errorf("snd completed %d jobs, want 1", snd.TCB.Completions)
+	}
+	if msgs := k.Stats().MsgsSent; msgs != 2 {
+		t.Errorf("%d messages sent, want 2", msgs)
+	}
+}
+
+// TestResumeKeepsDelayRunning: a task suspended in the middle of a delay
+// and resumed before the delay ends waits out the delay. Running it at
+// the resume would let the stale delay timer wake it later out of
+// whatever it blocked on next.
+func TestResumeKeepsDelayRunning(t *testing.T) {
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: costmodel.Zero(), StandardSem: true,
+		TraceCapacity: 1 << 12})
+	mb := k.NewMailbox("mb", 1)
+	th := k.AddTask(task.Spec{Name: "sleeper", Period: 50 * vtime.Millisecond, Prog: task.Program{
+		task.Delay(10 * vtime.Millisecond), task.Recv(mb)}})
+	boot(t, n)
+	k.Engine().At(vtime.Time(1*vtime.Millisecond), "suspend", func() { k.Suspend(th) })
+	k.Engine().At(vtime.Time(3*vtime.Millisecond), "resume", func() { k.Resume(th) })
+	k.Run(20 * vtime.Millisecond)
+	var got []vtime.Time
+	for _, e := range eventsOf(k, trace.Dispatch, "sleeper") {
+		got = append(got, e.At)
+	}
+	if want := []vtime.Time{0, vtime.Time(10 * vtime.Millisecond)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sleeper dispatched at %v, want %v", got, want)
+	}
+	if parked := linkAt(k.mboxes, "mailbox", mb).recvq.Len(); parked != 1 {
+		t.Errorf("sleeper parked on the mailbox %d times, want once", parked)
+	}
+}
+
+// TestResumeAfterDelayExpired: a delay that expires while its task is
+// suspended is a wakeup absorbed by the suspension, so Resume runs the
+// task at once.
+func TestResumeAfterDelayExpired(t *testing.T) {
+	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: costmodel.Zero(), StandardSem: true})
+	th := k.AddTask(task.Spec{Name: "sleeper", Period: 50 * vtime.Millisecond, Prog: task.Program{
+		task.Delay(2 * vtime.Millisecond), task.Compute(vtime.Millisecond)}})
+	boot(t, n)
+	k.Engine().At(vtime.Time(1*vtime.Millisecond), "suspend", func() { k.Suspend(th) })
+	k.Engine().At(vtime.Time(5*vtime.Millisecond), "resume", func() { k.Resume(th) })
+	k.Run(20 * vtime.Millisecond)
+	if th.TCB.Completions != 1 || th.TCB.MaxResp != 6*vtime.Millisecond {
+		t.Errorf("completions %d, response %v; want one job done at 6ms", th.TCB.Completions, th.TCB.MaxResp)
 	}
 }

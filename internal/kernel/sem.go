@@ -372,6 +372,7 @@ func (k *Kernel) wakeup(th *Thread) bool {
 	if th.suspended {
 		// Suspended threads absorb their wakeup and stay parked;
 		// Resume makes them runnable again (taskSuspend semantics).
+		th.resumable = true
 		return false
 	}
 	hint := th.TCB.PendingHint
