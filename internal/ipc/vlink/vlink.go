@@ -67,63 +67,64 @@ func (r *Ring) Cap() int { return len(r.cells) }
 
 // Len reports the approximate number of queued messages. It is exact
 // when the ring is quiescent; under concurrent traffic it is a snapshot
-// of the cursor distance.
+// of the cursor distance, clamped to the capacity (consumers that
+// advance between the two cursor reads make the raw distance wrap).
 func (r *Ring) Len() int {
-	d := r.enq.Load() - r.deq.Load()
-	if d > uint64(len(r.cells)) {
-		d = uint64(len(r.cells))
-	}
-	return int(d)
+	return int(min(r.enq.Load()-r.deq.Load(), uint64(len(r.cells))))
 }
 
 // TryEnqueue appends m, reporting false if the ring is full. It never
 // blocks: a false return is immediate.
-func (r *Ring) TryEnqueue(m ipc.Msg) bool {
-	pos := r.enq.Load()
-	for {
-		c := &r.cells[pos&r.mask]
-		seq := c.seq.Load()
-		switch {
-		case seq == pos:
-			// Cell free for this lap: claim the ticket.
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				c.msg = m
-				c.seq.Store(pos + 1)
-				return true
-			}
-			pos = r.enq.Load()
-		case seq < pos:
-			// Cell still holds last lap's message: full.
-			return false
-		default:
-			// Another producer already claimed pos; reload.
-			pos = r.enq.Load()
-		}
+func (r *Ring) TryEnqueue(m ipc.Msg) (ok bool) {
+	var done bool
+	for !done {
+		done, ok = r.enqueueAt(r.enq.Load(), m)
 	}
+	return ok
+}
+
+// enqueueAt is one attempt of TryEnqueue at ticket pos, the producer
+// cursor as last read. It is done when it published m or found the ring
+// full; otherwise another producer claimed pos first and the caller
+// retries at the cursor's new value.
+func (r *Ring) enqueueAt(pos uint64, m ipc.Msg) (done, ok bool) {
+	c := &r.cells[pos&r.mask]
+	seq := c.seq.Load()
+	if seq == pos && r.enq.CompareAndSwap(pos, pos+1) {
+		// Cell free for this lap and the ticket is ours: publish.
+		c.msg = m
+		c.seq.Store(pos + 1)
+		return true, true
+	}
+	// seq < pos: the cell still holds last lap's message, so the ring is
+	// full.
+	return seq < pos, false
 }
 
 // TryDequeue removes the oldest message, reporting false if the ring is
 // empty. It never blocks.
-func (r *Ring) TryDequeue() (ipc.Msg, bool) {
-	pos := r.deq.Load()
-	for {
-		c := &r.cells[pos&r.mask]
-		seq := c.seq.Load()
-		switch {
-		case seq == pos+1:
-			// Cell published for this lap: claim the ticket.
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				m := c.msg
-				c.seq.Store(pos + r.mask + 1)
-				return m, true
-			}
-			pos = r.deq.Load()
-		case seq <= pos:
-			// Producer has not published pos yet: empty.
-			return ipc.Msg{}, false
-		default:
-			// Another consumer already claimed pos; reload.
-			pos = r.deq.Load()
-		}
+func (r *Ring) TryDequeue() (m ipc.Msg, ok bool) {
+	var done bool
+	for !done {
+		done, ok = r.dequeueAt(r.deq.Load(), &m)
 	}
+	return m, ok
+}
+
+// dequeueAt is one attempt of TryDequeue at ticket pos, the consumer
+// cursor as last read. It is done when it took a message into m or found
+// the ring empty; otherwise another consumer claimed pos first and the
+// caller retries at the cursor's new value.
+func (r *Ring) dequeueAt(pos uint64, m *ipc.Msg) (done, ok bool) {
+	c := &r.cells[pos&r.mask]
+	seq := c.seq.Load()
+	if seq == pos+1 && r.deq.CompareAndSwap(pos, pos+1) {
+		// Cell published for this lap and the ticket is ours: take it.
+		*m = c.msg
+		c.seq.Store(pos + r.mask + 1)
+		return true, true
+	}
+	// seq <= pos: the producer has not published pos yet, so the ring is
+	// empty.
+	return seq <= pos, false
 }

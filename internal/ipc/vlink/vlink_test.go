@@ -226,6 +226,83 @@ func TestVLinkZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestVLinkStepInterleavings interleaves producers and consumers one
+// attempt at a time in a single goroutine, so that every retry of
+// TryEnqueue and TryDequeue happens on every run: an attempt at a ticket
+// a peer already finished, and an attempt whose CAS loses to a peer that
+// has claimed the ticket but not yet published its cell. A peer paused
+// between those two points is emulated by doing its claim (the CAS on
+// the cursor) and its publish (the stamp store) by hand.
+func TestVLinkStepInterleavings(t *testing.T) {
+	r := New(2)
+	msg := func(v int64) ipc.Msg { return ipc.Msg{Val: v, Size: 8} }
+	mustDone := func(what string, done, ok, wantOK bool) {
+		t.Helper()
+		if !done || ok != wantOK {
+			t.Fatalf("%s: done=%v ok=%v, want done with ok=%v", what, done, ok, wantOK)
+		}
+	}
+	mustRetry := func(what string, done, ok bool) {
+		t.Helper()
+		if done || ok {
+			t.Fatalf("%s: done=%v ok=%v, want a retry", what, done, ok)
+		}
+	}
+
+	// Producer A reads the cursor; producer B enqueues first.
+	pos := r.enq.Load()
+	if !r.TryEnqueue(msg(1)) {
+		t.Fatal("B's enqueue refused on an empty ring")
+	}
+	done, ok := r.enqueueAt(pos, msg(2))
+	mustRetry("A at the ticket B published", done, ok)
+	// Producer C claims the next ticket and pauses before publishing.
+	pos = r.enq.Load()
+	if !r.enq.CompareAndSwap(pos, pos+1) {
+		t.Fatal("C's claim failed")
+	}
+	done, ok = r.enqueueAt(pos, msg(2))
+	mustRetry("A at the ticket C claimed", done, ok)
+	r.cells[pos&r.mask].msg = msg(3)
+	r.cells[pos&r.mask].seq.Store(pos + 1)
+	done, ok = r.enqueueAt(r.enq.Load(), msg(2))
+	mustDone("A on the full ring", done, ok, false)
+
+	// Consumer D reads the cursor; consumer E dequeues first.
+	var m ipc.Msg
+	pos = r.deq.Load()
+	if got, ok := r.TryDequeue(); !ok || got != msg(1) {
+		t.Fatalf("E took %v, %v; want the first message", got, ok)
+	}
+	done, ok = r.dequeueAt(pos, &m)
+	mustRetry("D at the ticket E finished", done, ok)
+	// Consumer F claims the next ticket and pauses before freeing the cell.
+	pos = r.deq.Load()
+	if !r.deq.CompareAndSwap(pos, pos+1) {
+		t.Fatal("F's claim failed")
+	}
+	done, ok = r.dequeueAt(pos, &m)
+	mustRetry("D at the ticket F claimed", done, ok)
+	if got := r.cells[pos&r.mask].msg; got != msg(3) {
+		t.Fatalf("F took %v, want C's message", got)
+	}
+	r.cells[pos&r.mask].seq.Store(pos + r.mask + 1)
+	done, ok = r.dequeueAt(r.deq.Load(), &m)
+	mustDone("D on the empty ring", done, ok, false)
+
+	// Both retries leave the ring whole: it takes and returns two more.
+	for v := int64(4); v <= 5; v++ {
+		if !r.TryEnqueue(msg(v)) {
+			t.Fatalf("enqueue of %d refused", v)
+		}
+	}
+	for v := int64(4); v <= 5; v++ {
+		if got, ok := r.TryDequeue(); !ok || got != msg(v) {
+			t.Fatalf("dequeue gave %v, %v; want %v", got, ok, msg(v))
+		}
+	}
+}
+
 // TestVLinkCapacityRounding locks the power-of-two rounding contract.
 func TestVLinkCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 2}, {1, 2}, {2, 2}, {3, 4}, {8, 8}, {9, 16}} {
