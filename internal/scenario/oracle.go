@@ -157,6 +157,8 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 		res.Findings = append(res.Findings, Finding{OracleTruncated,
 			fmt.Sprintf("%d events dropped with capacity %d", d, s.TraceCapacity())})
 	} else {
+		// One copy of the ring serves both trace oracles.
+		events := log.Events()
 		// (f) synchronizability: every generated communication topology
 		// is a DAG (pipelines, fans), which is provably crown-free — so
 		// any crown in the observed send/receive order, or a receive
@@ -164,7 +166,7 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 		// kernel bug, not a workload property. Applies to any scenario
 		// with queues.
 		if len(s.Mailboxes) > 0 || len(s.VLinks) > 0 {
-			if rep := syncheck.Check(log.Events()); !rep.OK() {
+			if rep := syncheck.Check(events); !rep.OK() {
 				detail := fmt.Sprintf("unmatched receives: %d", rep.Unmatched)
 				if !rep.Synchronizable {
 					detail = "crown: " + strings.Join(rep.Crown, "; ")
@@ -172,7 +174,7 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 				res.Findings = append(res.Findings, Finding{OracleSync, detail})
 			}
 		}
-		an, err := attrib.Analyze(log.Events(), 0)
+		an, err := attrib.Analyze(events, 0)
 		if err != nil {
 			res.Findings = append(res.Findings, Finding{OracleResidual, "analyze: " + err.Error()})
 		} else {
