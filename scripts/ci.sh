@@ -78,8 +78,9 @@ go test -run '^$' -fuzz FuzzSyncheckParse -fuzztime 10s ./internal/ipc/syncheck/
 go test -run '^$' -fuzz FuzzReproRoundTrip -fuzztime 10s ./internal/scenario/
 
 echo "== coverage ratchet =="
-# Statement coverage of the IPC, kernel, and scenario packages must not
-# drop below the committed baseline (results/coverage.txt).
+# Statement coverage of the attribution, IPC, kernel, and scenario
+# packages must not drop below the committed baseline
+# (results/coverage.txt).
 ./scripts/cover.sh
 
 echo "== fuzz smoke (fixed seed, zero violations) =="
@@ -125,12 +126,13 @@ echo "== allocation smoke gate =="
 # testing.AllocsPerRun: event dispatch off the timer wheel, bitmap
 # queue push/pop, the FP scheduler's select, the instrumented CSD
 # select, Kernel.Stats summing the per-CPU counter shards (called on
-# every telemetry tick), trace recording into a full ring, and the
-# Perfetto export, whose allocations must not grow with the event count.
+# every telemetry tick), trace recording into a full ring, the Perfetto
+# export, whose allocations must not grow with the event count, and the
+# attribution replay, which allocates fewer than once per 50 events.
 # A steady-state allocation anywhere on these paths fails here before it
 # can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
     ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/ \
-    ./internal/trace/
+    ./internal/trace/ ./internal/attrib/
 
 echo "ci: all green"

@@ -1,15 +1,15 @@
 #!/bin/sh
-# Coverage ratchet over the IPC/kernel/scenario packages the PR 10 test
-# push hardened: measures `go test -cover` statement coverage and fails
-# if any package drops below the committed baseline in
-# results/coverage.txt (small epsilon for run-to-run noise). Regenerate
-# the baseline after intentionally raising coverage with:
+# Coverage ratchet over the attribution replay and the IPC/kernel/scenario
+# packages the PR 10 test push hardened: measures `go test -cover`
+# statement coverage and fails if any package drops below the committed
+# baseline in results/coverage.txt (small epsilon for run-to-run noise).
+# Regenerate the baseline after intentionally raising coverage with:
 #
 #   ./scripts/cover.sh -update
 set -eu
 cd "$(dirname "$0")/.."
 BASELINE=results/coverage.txt
-PKGS="emeralds/internal/ipc emeralds/internal/ipc/syncheck emeralds/internal/ipc/vlink emeralds/internal/kernel emeralds/internal/scenario"
+PKGS="emeralds/internal/attrib emeralds/internal/ipc emeralds/internal/ipc/syncheck emeralds/internal/ipc/vlink emeralds/internal/kernel emeralds/internal/scenario"
 EPSILON=0.3
 
 tmp=$(mktemp)
