@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"emeralds/internal/analysis"
 	"emeralds/internal/costmodel"
 	"emeralds/internal/experiments"
 	"emeralds/internal/ipc"
@@ -27,7 +26,6 @@ import (
 	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/vtime"
-	"emeralds/internal/workload"
 )
 
 // --- Table 1: scheduler queue-operation overheads ----------------------
@@ -220,25 +218,6 @@ func BenchmarkStateMessageOp(b *testing.B) {
 		if _, ok := sm.Read(); !ok {
 			b.Fatal("read failed")
 		}
-	}
-}
-
-// --- §5.5.3: partition search cost ---------------------------------------
-
-func BenchmarkPartitionSearch(b *testing.B) {
-	prof := costmodel.M68040()
-	for _, n := range []int{20, 50, 100} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			specs := workload.Generate(workload.Config{N: n, Utilization: 0.6, Seed: 5})
-			rm := analysis.SortRM(specs)
-			found := false
-			for i := 0; i < b.N; i++ {
-				_, _, found = analysis.BestPartition(prof, rm, 3)
-			}
-			if !found {
-				b.Log("no feasible partition at U=0.6")
-			}
-		})
 	}
 }
 

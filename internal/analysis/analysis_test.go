@@ -90,7 +90,7 @@ func TestTable2Properties(t *testing.T) {
 func TestCSDCoversTable2(t *testing.T) {
 	p := costmodel.M68040()
 	rm := analysis.SortRM(workload.Table2())
-	part, ok := analysis.FindPartition(p, rm, 2, nil)
+	part, ok := analysis.FindPartition(p, rm, 2)
 	if !ok {
 		t.Fatal("no CSD-2 partition found for Table 2")
 	}
@@ -187,20 +187,6 @@ func TestCandidatesCounts(t *testing.T) {
 	}
 	if len(analysis.Candidates(4, 20)) == 0 {
 		t.Error("CSD-4 candidates empty")
-	}
-}
-
-func TestFindPartitionUsesHint(t *testing.T) {
-	p := costmodel.M68040()
-	rm := analysis.SortRM(workload.Table2())
-	first, ok := analysis.FindPartition(p, rm, 2, nil)
-	if !ok {
-		t.Fatal("no partition")
-	}
-	// With the hint, the same partition must come straight back.
-	again, ok := analysis.FindPartition(p, rm, 2, &first)
-	if !ok || again.DPSizes[0] != first.DPSizes[0] {
-		t.Errorf("hint path returned %v, want %v", again, first)
 	}
 }
 

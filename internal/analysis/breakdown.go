@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
 	"emeralds/internal/task"
 )
 
@@ -22,6 +21,12 @@ const breakdownPrecision = 1e-3
 // given feasibility predicate. Returns 0 when even the unscaled-to-zero
 // workload is infeasible (run-time overhead alone saturates the CPU).
 func Breakdown(specs []task.Spec, feasible func(scaled []task.Spec) bool) float64 {
+	return bisect(specs, func(_ float64, scaled []task.Spec) bool { return feasible(scaled) })
+}
+
+// bisect is Breakdown with each probe's scale factor passed to the
+// predicate alongside the scaled workload.
+func bisect(specs []task.Spec, feasible func(f float64, scaled []task.Spec) bool) float64 {
 	base := task.TotalUtilization(specs)
 	if base <= 0 {
 		return 0
@@ -29,16 +34,16 @@ func Breakdown(specs []task.Spec, feasible func(scaled []task.Spec) bool) float6
 	// Upper bound: U = 1.05 is infeasible under every policy once
 	// overhead is charged; double until infeasible to be safe.
 	hi := 1.05 / base
-	for i := 0; i < 10 && feasible(task.Scale(specs, hi)); i++ {
+	for i := 0; i < 10 && feasible(hi, task.Scale(specs, hi)); i++ {
 		hi *= 2
 	}
 	lo := 0.0
-	if !feasible(task.Scale(specs, lo)) {
+	if !feasible(lo, task.Scale(specs, lo)) {
 		return 0
 	}
 	for hi-lo > breakdownPrecision*hi {
 		mid := (lo + hi) / 2
-		if feasible(task.Scale(specs, mid)) {
+		if feasible(mid, task.Scale(specs, mid)) {
 			lo = mid
 		} else {
 			hi = mid
@@ -60,17 +65,11 @@ func BreakdownRM(p *costmodel.Profile, specs []task.Spec) float64 {
 // BreakdownCSD returns the breakdown utilization under CSD-numQueues,
 // where at each probed scale the partition search of §5.5.3 may choose
 // a different queue split (the workload is feasible if *some* partition
-// is). The last feasible partition is retried first at the next probe,
-// which makes the bisection nearly as cheap as a fixed-partition test
-// on the feasible side.
+// is). One partitionSearch serves the whole bisection: it retries the
+// last feasible partition first, which makes the feasible side nearly
+// as cheap as a fixed-partition test, and skips every partition already
+// ruled out at a smaller scale.
 func BreakdownCSD(p *costmodel.Profile, specs []task.Spec, numQueues int) float64 {
 	rmSorted := SortRM(specs)
-	var lastGood *sched.Partition
-	return Breakdown(rmSorted, func(s []task.Spec) bool {
-		part, ok := FindPartition(p, s, numQueues, lastGood)
-		if ok {
-			lastGood = &part
-		}
-		return ok
-	})
+	return bisect(rmSorted, newPartitionSearch(p, numQueues, len(rmSorted)).feasible)
 }

@@ -71,7 +71,7 @@ func TestAnalysisSoundIdeal(t *testing.T) {
 			}
 		}
 		for _, queues := range []int{2, 3} {
-			part, ok := analysis.FindPartition(zero, rmSorted, queues, nil)
+			part, ok := analysis.FindPartition(zero, rmSorted, queues)
 			if !ok {
 				continue
 			}

@@ -172,7 +172,7 @@ func Figure2(p *costmodel.Profile) Figure2Result {
 		RMFeasible:  analysis.FeasibleRM(p, specs),
 	}
 	rmSorted := analysis.SortRM(specs)
-	part, ok := analysis.FindPartition(p, rmSorted, 2, nil)
+	part, ok := analysis.FindPartition(p, rmSorted, 2)
 	if !ok {
 		part = sched.Partition{DPSizes: []int{len(specs)}}
 	}
