@@ -53,6 +53,15 @@ go run ./cmd/emreport -policy rm -ms 500 -quiet -json -json-out "$tmp/emreport.j
 go run ./scripts/artifactdiff results/emreport.json "$tmp/emreport.json"
 cmp results/emreport.txt "$tmp/emreport.txt"
 
+echo "== breakdown figure regression (Figures 3-5 vs results/) =="
+# The breakdown percentages are pinned exactly: regenerate Figures 3-5
+# at the committed 100 workloads/point and compare them with results/,
+# ignoring only the volatile "run" block (about a minute on 2 CPUs).
+for div in 1 2 3; do
+    go run ./cmd/breakdown -div "$div" -workloads 100 -quiet -json-out "$tmp/figure$((div + 2)).json" >/dev/null
+    go run ./scripts/artifactdiff "results/figure$((div + 2)).json" "$tmp/figure$((div + 2)).json"
+done
+
 echo "== multicore determinism gate =="
 # An M=4 run must produce identical artifacts regardless of host
 # parallelism (GOMAXPROCS) and harness fan-out (-workers).
