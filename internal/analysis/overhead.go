@@ -136,11 +136,9 @@ func maxDPSelectFrom(p *costmodel.Profile, sizes []int, from int) vtime.Duration
 	return worst
 }
 
-// queueSizes expands a partition over n tasks into per-queue lengths
-// (DP queues first, FP queue last).
-func queueSizes(part sched.Partition, n int) []int {
-	sizes := make([]int, 0, part.NumQueues())
-	sizes = append(sizes, part.DPSizes...)
-	sizes = append(sizes, n-part.DPTotal())
-	return sizes
+// queueSizes appends a partition's per-queue lengths over n tasks to
+// dst (DP queues first, FP queue last).
+func queueSizes(dst []int, part sched.Partition, n int) []int {
+	dst = append(dst, part.DPSizes...)
+	return append(dst, n-part.DPTotal())
 }
