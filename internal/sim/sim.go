@@ -19,9 +19,10 @@
 //
 // Events are pooled: Schedule/At hand out *Event values from a
 // free-list and reclaim them as soon as the event fires or is
-// canceled. An *Event is therefore only valid until it fires or is
-// canceled — callers must not retain or Cancel it afterwards, as the
-// storage may already back an unrelated event.
+// canceled; Retime moves a pending event without reclaiming it. An
+// *Event is therefore only valid until it fires or is canceled —
+// callers must not retain or Cancel it afterwards, as the storage may
+// already back an unrelated event.
 package sim
 
 import (
@@ -211,23 +212,67 @@ func (e *Engine) schedule(t vtime.Time, class uint8, label string, tgt Target, f
 	return ev
 }
 
-// place files ev into the wheel level selected by the highest bit in
-// which its timestamp differs from the clock, or into the overflow
-// heap when that bit is past the horizon.
-func (e *Engine) place(ev *Event) {
-	d := uint64(ev.when ^ e.now)
+// Retime moves a pending event to instant t. The event keeps its
+// class, label and target and takes a fresh sequence number, so it
+// gets the same (when, class, seq) key that Cancel followed by Schedule
+// would give it and uses up one sequence number just as they do. When
+// t keeps the event's wheel level and slot, it is updated in place;
+// otherwise it is unlinked and re-placed. Either way no Event is freed
+// or allocated, and the pointer stays valid. Retiming an event that is
+// not pending, or into the past, panics.
+func (e *Engine) Retime(ev *Event, t vtime.Time) {
+	if ev.state != stateWheel && ev.state != stateOverflow {
+		panic(fmt.Sprintf("sim: event %q retimed while not pending", ev.label))
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event %q retimed to %v, before now %v", ev.label, t, e.now))
+	}
+	ev.when, ev.seq = t, e.seq
+	e.seq++
+	if ev.state == stateOverflow {
+		e.heapRemove(ev)
+		e.place(ev)
+		return
+	}
+	// A fresh placement never lands in a level's cursor slot, so a
+	// match means the event already sits where place would file it.
+	// Higher-level slots are unordered; a level-0 slot is sorted by
+	// (class, seq), and the new seq orders ev last in its class, so it
+	// may stay only if no later entry shares its class.
+	if lvl, s, ok := e.position(t); ok && uint8(lvl) == ev.level && s == ev.slot &&
+		(lvl != 0 || ev.next == nil || ev.next.class != ev.class) {
+		return
+	}
+	e.unlink(ev)
+	e.place(ev)
+}
+
+// position reports the wheel level and slot that an event at instant t
+// files into: the level of the highest bit in which t differs from the
+// clock, and t's digit at that level. ok is false when that bit is past
+// the horizon.
+func (e *Engine) position(t vtime.Time) (lvl int, s uint8, ok bool) {
+	d := uint64(t ^ e.now)
 	if bits.Len64(d) > horizonBits {
+		return 0, 0, false
+	}
+	if d != 0 {
+		lvl = (bits.Len64(d) - 1) / levelBits
+	}
+	return lvl, uint8(uint64(t) >> (uint(lvl) * levelBits) & slotMask), true
+}
+
+// place files ev into its wheel slot (see position), or into the
+// overflow heap when it is past the horizon.
+func (e *Engine) place(ev *Event) {
+	lvl, s, ok := e.position(ev.when)
+	if !ok {
 		ev.state = stateOverflow
 		e.heapPush(ev)
 		return
 	}
-	lvl := 0
-	if d != 0 {
-		lvl = (bits.Len64(d) - 1) / levelBits
-	}
-	s := (uint64(ev.when) >> (uint(lvl) * levelBits)) & slotMask
 	ev.state = stateWheel
-	ev.level, ev.slot = uint8(lvl), uint8(s)
+	ev.level, ev.slot = uint8(lvl), s
 	head := &e.levels[lvl].slots[s]
 	e.levels[lvl].occ |= 1 << s
 	if lvl != 0 || *head == nil || before(ev, *head) {

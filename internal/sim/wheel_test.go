@@ -206,6 +206,31 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRetimeZeroAlloc pins the charge path: moving a pending event,
+// within its slot or across levels and slots, allocates nothing and
+// keeps both the pointer and the pending count.
+func TestRetimeZeroAlloc(t *testing.T) {
+	e := New()
+	tt := &tickTarget{e: e}
+	ev := e.Schedule(1<<20, ClassCompletion, "seg", tt)
+	when := vtime.Time(1 << 20)
+	i := 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		if i++; i%8 == 0 {
+			e.Retime(ev, vtime.Time(i%64)) // into level 0 and back
+			return
+		}
+		when += 7
+		e.Retime(ev, when)
+	})
+	if allocs != 0 {
+		t.Fatalf("retime allocates %v objects per call, want 0", allocs)
+	}
+	if e.Pending() != 1 || ev.state != stateWheel || ev.Label() != "seg" {
+		t.Fatalf("pending %d, state %d, label %q after retimes", e.Pending(), ev.state, ev.Label())
+	}
+}
+
 // TestAdvanceCursorDemotion regression-tests cascade-on-cursor: an
 // event placed at a high level must demote correctly when the clock
 // advances right up to it and new same-instant events join at level 0.
