@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"emeralds/internal/vtime"
@@ -32,7 +33,10 @@ type Histogram struct {
 	sum    vtime.Duration
 }
 
-func bucketOf(d vtime.Duration) int {
+// logBucket is the bucket formula: ⌊30·log₁₀(µs)⌋, clamped to the
+// bucket range. bucketOf computes the same function without the
+// logarithm; the tables below are built from this one.
+func logBucket(d vtime.Duration) int {
 	us := d.Micros()
 	if us < 1 {
 		return 0
@@ -43,6 +47,58 @@ func bucketOf(d vtime.Duration) int {
 	}
 	if b >= numBuckets {
 		b = numBuckets - 1
+	}
+	return b
+}
+
+// cellBits is the number of mantissa bits after the leading one that
+// select a cell: a cell spans a ratio of at most 1+1/16, narrower than
+// a bucket's 10^(1/30) ≈ 1.08, so it meets at most two buckets.
+const cellBits = 4
+
+var (
+	// bucketStart[b] is the shortest duration logBucket puts in bucket
+	// b or later; bucketStart[0] is 0.
+	bucketStart [numBuckets]vtime.Duration
+	// cellBucket[p<<cellBits | m] is logBucket of the first duration
+	// whose leading one is bit p and whose next cellBits bits are m.
+	cellBucket [64 << cellBits]uint8
+)
+
+func init() {
+	for b := 1; b < numBuckets; b++ {
+		// Start from the closed form and step to the exact edge.
+		d := bucketLow(b)
+		for logBucket(d) >= b {
+			d--
+		}
+		for logBucket(d) < b {
+			d++
+		}
+		bucketStart[b] = d
+	}
+	for p := cellBits; p < 63; p++ {
+		for m := 0; m < 1<<cellBits; m++ {
+			first := vtime.Duration(uint64(1<<cellBits|m) << (p - cellBits))
+			cellBucket[p<<cellBits|m] = uint8(logBucket(first))
+		}
+	}
+}
+
+// bucketOf is logBucket without the logarithm: the duration's cell
+// gives the lower of the two buckets the cell can meet, and one compare
+// with the next bucket's first duration decides between them.
+func bucketOf(d vtime.Duration) int {
+	if d < bucketStart[1] {
+		return 0
+	}
+	if d >= bucketStart[numBuckets-1] {
+		return numBuckets - 1
+	}
+	p := bits.Len64(uint64(d)) - 1
+	b := int(cellBucket[p<<cellBits|int(uint64(d)>>(p-cellBits))&(1<<cellBits-1)])
+	if d >= bucketStart[b+1] {
+		b++
 	}
 	return b
 }

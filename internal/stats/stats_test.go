@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -143,5 +144,36 @@ func TestSummaryAndSparkline(t *testing.T) {
 	}
 	if !strings.ContainsRune(spark, '█') {
 		t.Errorf("sparkline has no peak: %q", spark)
+	}
+}
+
+// TestBucketOfMatchesLogFormula holds the table lookup to the
+// logarithm formula it was built from: on every duration within 2 µs
+// of a bucket edge, on the first and last duration of every cell, and
+// on random durations spread evenly in log space up to 2^40 ns.
+func TestBucketOfMatchesLogFormula(t *testing.T) {
+	check := func(d vtime.Duration) {
+		if got, want := bucketOf(d), logBucket(d); got != want {
+			t.Fatalf("bucketOf(%d ns) = %d, logarithm formula gives %d", int64(d), got, want)
+		}
+	}
+	for b := 1; b < numBuckets; b++ {
+		for d := bucketStart[b] - 2000; d <= bucketStart[b]+2000; d++ {
+			check(d)
+		}
+	}
+	for p := cellBits; p < 63; p++ {
+		for m := uint64(0); m < 1<<cellBits; m++ {
+			first := (1<<cellBits | m) << (p - cellBits)
+			check(vtime.Duration(first))
+			check(vtime.Duration(first + 1<<(p-cellBits) - 1))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(vtime.Duration(math.Exp2(40 * rng.Float64())))
+	}
+	for _, d := range []vtime.Duration{-1, 0, 1, 999, 1000, 1 << 62, 1<<63 - 1} {
+		check(d)
 	}
 }
