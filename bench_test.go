@@ -221,39 +221,6 @@ func BenchmarkStateMessageOp(b *testing.B) {
 	}
 }
 
-// --- end-to-end kernel throughput ----------------------------------------
-
-// BenchmarkKernelSimulation measures simulator throughput: virtual
-// milliseconds of a 10-task CSD-3 system simulated per wall second.
-func BenchmarkKernelSimulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.SemScenario(experiments.FPQueue, 10, true, nil)
-		if r <= 0 {
-			b.Fatal("degenerate scenario")
-		}
-	}
-}
-
-// BenchmarkKernelSimulationM4 is the multicore counterpart of
-// BenchmarkKernelSimulation: the contended 8-task lock-ablation
-// workload on four per-CPU schedulers with lock-free run queues,
-// 10 ms of simulated time per iteration.
-func BenchmarkKernelSimulationM4(b *testing.B) {
-	var p experiments.LockPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		p, _, err = experiments.LockCellObserved(sim.Config{CPUs: 4, Lock: kernel.LockPerCPU.String()}, 10*vtime.Millisecond, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if p.Completions == 0 {
-		b.Fatal("degenerate scenario")
-	}
-	b.ReportMetric(float64(p.Completions), "completions")
-	b.ReportMetric(p.Overhead.Micros(), "model-overhead-µs")
-}
-
 // BenchmarkSamplerOverhead prices the flight recorder against the same
 // 3-task EDF system it ships in emsim: "off" is the plain simulation,
 // "on" adds a telemetry.Recorder at the emsim default cadence

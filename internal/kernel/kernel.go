@@ -99,6 +99,7 @@ type Thread struct {
 	beforeJob  func() task.Program // rebuilds the job body at release (polling server)
 	releaseLbl string
 	segLbl     string        // precomputed segment label ("seg:" + name)
+	forLbl     string        // precomputed detail of a preemption in its favour ("for " + name)
 	relTgt     releaseTarget // zero-alloc timer target for periodic releases
 	nextRel    vtime.Time
 	aperiodic  bool
@@ -558,12 +559,14 @@ func (k *Kernel) AddTaskIn(proc int, spec task.Spec) *Thread {
 	tcb := &k.tcbSlab[len(k.tcbSlab)-1]
 	task.NewIn(tcb, len(k.threads), spec)
 	tcb.State = task.Blocked
-	// Both event labels in one allocation.
-	joint := "release:" + tcb.Name + "seg:" + tcb.Name
+	// Both event labels and the preemption detail in one allocation.
+	rel, seg := len("release:")+len(tcb.Name), len("seg:")+len(tcb.Name)
+	joint := "release:" + tcb.Name + "seg:" + tcb.Name + "for " + tcb.Name
 	th.TCB = tcb
 	th.Proc = proc
-	th.releaseLbl = joint[:len("release:")+len(tcb.Name)]
-	th.segLbl = joint[len("release:")+len(tcb.Name):]
+	th.releaseLbl = joint[:rel]
+	th.segLbl = joint[rel : rel+seg]
+	th.forLbl = joint[rel+seg:]
 	th.aperiodic = spec.Period == 0
 	th.migrateTo = -1
 	th.relTgt = releaseTarget{k: k, th: th}
