@@ -82,3 +82,14 @@ func BenchmarkExportPerfetto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLogAddFull records one event into a full one-event ring, the
+// ring an untraced emsim run keeps for its diagnostics; one op is one
+// event.
+func BenchmarkLogAddFull(b *testing.B) {
+	l := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.AddDurCPU(vtime.Time(i), Preempt, "tau01", "for tau02", 1500, 0)
+	}
+}

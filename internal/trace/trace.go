@@ -151,19 +151,24 @@ func (l *Log) AddDurCPU(at vtime.Time, kind Kind, taskName, detail string, dur v
 		return
 	}
 	l.total++
-	e := Event{At: at, Kind: kind, Task: taskName, Detail: detail, Dur: dur, CPU: cpu}
+	var e *Event
 	if len(l.ring) < l.limit {
 		if len(l.ring) == cap(l.ring) {
 			l.grow()
 		}
-		l.ring = append(l.ring, e)
-		return
+		l.ring = l.ring[:len(l.ring)+1]
+		e = &l.ring[len(l.ring)-1]
+	} else {
+		e = &l.ring[l.next]
+		if l.next++; l.next == len(l.ring) {
+			l.next = 0
+		}
+		l.wrapped = true
 	}
-	l.ring[l.next] = e
-	if l.next++; l.next == len(l.ring) {
-		l.next = 0
-	}
-	l.wrapped = true
+	// Field stores, not a copy of an Event literal: the copy reads the
+	// literal back in words that span its narrower stores, which stalls
+	// store forwarding on every event.
+	e.At, e.Kind, e.Task, e.Detail, e.Dur, e.CPU = at, kind, taskName, detail, dur, cpu
 }
 
 // grow doubles the backing array, starting from firstRing and never
