@@ -55,7 +55,7 @@ func main() {
 	cfg.Queues = *queues
 	cfg.StandardSem = *standard
 	cfg.RecordResponses = true
-	cfg.TraceCapacity = max(cfg.TraceCapacity, *traceN, 1)
+	cfg.TraceCapacity = max(cfg.TraceCapacity, *traceN)
 	if *gantt > 0 {
 		cfg.TraceCapacity = max(cfg.TraceCapacity, 1<<16)
 	}

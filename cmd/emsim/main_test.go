@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -61,5 +62,34 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		{"-div", []string{"-n", "5", "-div", "0", "-ms", "10"}},
 	} {
 		clitest.Refused(t, "bad "+tc.flag+":", append(tc.args, "-quiet")...)
+	}
+}
+
+// TestUntracedRunDropsNothing: a run that asks for no trace (no -trace,
+// -gantt, -attrib or -trace-out) keeps no trace ring, so its artifact
+// reports no dropped trace events. A one-event ring would report every
+// event but the last as dropped, claiming a truncated trace-derived view
+// the run never offered.
+func TestUntracedRunDropsNothing(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "a.json")
+	clitest.Run(t, "-ms", "200", "-quiet", "-json-out", out)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		Diagnostics struct {
+			Counters     map[string]uint64 `json:"counters"`
+			TraceDropped uint64            `json:"trace_dropped"`
+		} `json:"diagnostics"`
+	}
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Diagnostics.Counters) == 0 {
+		t.Fatal("artifact has no diagnostics counters")
+	}
+	if d := art.Diagnostics.TraceDropped; d != 0 {
+		t.Errorf("untraced run reports %d dropped trace events, want 0", d)
 	}
 }
