@@ -132,12 +132,14 @@ go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== allocation smoke gate =="
 # The zero-alloc contracts behind the hot-path redesign, pinned with
-# testing.AllocsPerRun: event dispatch off the timer wheel, bitmap
-# queue push/pop, the FP scheduler's select, the instrumented CSD
-# select, Kernel.Stats summing the per-CPU counter shards (called on
-# every telemetry tick), trace recording into a full ring, the Perfetto
-# export, whose allocations must not grow with the event count, and the
-# attribution replay, which allocates fewer than once per 50 events.
+# testing.AllocsPerRun: event dispatch off the timer wheel and retiming
+# a pending event, bitmap queue push/pop, the FP scheduler's select,
+# the instrumented CSD select, Kernel.Stats summing the per-CPU counter
+# shards (called on every telemetry tick), the kernel run loop of an
+# untraced 30-task emsim run under all five policies after warm-up,
+# trace recording into a full ring, the Perfetto export, whose
+# allocations must not grow with the event count, and the attribution
+# replay, which allocates fewer than once per 50 events.
 # A steady-state allocation anywhere on these paths fails here before it
 # can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
