@@ -59,3 +59,25 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendUsMatchesAppendFloat: appendUs writes the bytes appendFloat
+// writes for the float quotient, at every remainder mod 1000 just below
+// 1000·2^43 ns, where its own digits stop being provably shortest, and
+// just above it, where it falls back to appendFloat; also near zero,
+// past 2^40 ns, at −1 and at 2^53.
+func TestAppendUsMatchesAppendFloat(t *testing.T) {
+	ns := []int64{-1, 0, 1 << 53, math.MaxInt64}
+	for r := int64(0); r < 1000; r++ {
+		ns = append(ns, r, 1000+r, 1<<40+r, usExact-1000+r, usExact+r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		ns = append(ns, rng.Int63n(usExact), rng.Int63n(1<<(1+rng.Intn(53))))
+	}
+	for _, n := range ns {
+		want := appendFloat(nil, float64(n)/1e3)
+		if got := appendUs(nil, n); string(got) != string(want) {
+			t.Errorf("appendUs(%d) = %s, want %s", n, got, want)
+		}
+	}
+}

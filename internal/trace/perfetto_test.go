@@ -303,6 +303,11 @@ func TestPerfettoGolden(t *testing.T) {
 	}
 }
 
+type tidKey struct {
+	pid  int
+	task string
+}
+
 // mapExporter is the reference Perfetto encoder: one map[string]any per
 // trace-event object, ordered and escaped by encoding/json. The
 // streaming writer must match its output byte for byte.
