@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"emeralds/internal/analysis"
@@ -12,11 +14,13 @@ import (
 	"emeralds/internal/workload"
 )
 
-// This file holds the breakdown search as it stood before the search
-// kept state across probes: every probe runs a fresh candidate sweep,
-// trying the last feasible partition first. It is the reference the
-// test below holds BreakdownCSD to: both must return bit-identical
-// breakdowns.
+// This file holds two searches as they stood before they were sped up,
+// as references the tests below hold the fast ones to. The breakdown
+// search ran a fresh candidate sweep at every probe, trying the last
+// feasible partition first; BreakdownCSD must return bit-identical
+// breakdowns. The partition choice tested every candidate;
+// BestPartition must return the same partition, score bits and
+// verdict.
 
 // refFindPartition is the per-probe sweep: `first` (the last known-good
 // partition) before every candidate in Candidates order. It counts the
@@ -88,5 +92,71 @@ func TestBreakdownCSDMatchesReference(t *testing.T) {
 	}
 	if capped == 0 {
 		t.Error("no probe hit an iteration cap: the sets miss the rejection that must not prune")
+	}
+}
+
+// refBestPartition tests every candidate in Candidates order, keeps the
+// first feasible one and replaces it by any feasible candidate of
+// strictly lower overhead score.
+func refBestPartition(p *costmodel.Profile, rmSorted []task.Spec, numQueues int) (sched.Partition, float64, bool) {
+	best := sched.Partition{}
+	bestScore := 0.0
+	found := false
+	for _, cand := range analysis.Candidates(numQueues, len(rmSorted)) {
+		if !analysis.FeasibleCSD(p, rmSorted, cand) {
+			continue
+		}
+		score := analysis.OverheadFraction(p, rmSorted, cand)
+		if !found || score < bestScore {
+			best, bestScore, found = cand, score, true
+		}
+	}
+	return best, bestScore, found
+}
+
+// TestBestPartitionMatchesReference requires BestPartition to pick what
+// refBestPartition picks, with the same score bits, under CSD-2, -3 and
+// -4 and both cost profiles: on random sets at U 0.5–1.0, where many
+// candidates fail, and on hand-built sets whose scores tie (equal
+// periods; every score is 0 under the zero-cost profile) or are NaN or
+// +Inf (a period-0 task).
+func TestBestPartitionMatchesReference(t *testing.T) {
+	sets := [][]task.Spec{
+		specsOf(10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1),
+		append(specsOf(5, 1, 10, 2, 20, 2), task.Spec{}),
+		append(specsOf(5, 1, 10, 2, 20, 2), task.Spec{WCET: 1}),
+	}
+	rng := rand.New(rand.NewSource(1))
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	for i := 0; i < trials; i++ {
+		sets = append(sets, workload.Generate(workload.Config{
+			N:           2 + rng.Intn(29),
+			Utilization: 0.5 + 0.5*rng.Float64(),
+			PeriodDiv:   1 + rng.Intn(3),
+			Seed:        rng.Int63(),
+		}))
+	}
+	found := 0
+	for i, specs := range sets {
+		rm := analysis.SortRM(specs)
+		for _, prof := range []*costmodel.Profile{costmodel.M68040(), costmodel.Zero()} {
+			for q := 2; q <= 4; q++ {
+				part, score, ok := analysis.BestPartition(prof, rm, q)
+				wantPart, wantScore, wantOK := refBestPartition(prof, rm, q)
+				if ok != wantOK || !reflect.DeepEqual(part, wantPart) || math.Float64bits(score) != math.Float64bits(wantScore) {
+					t.Errorf("set %d (%d tasks), %s, CSD-%d: got %v %v %v, reference %v %v %v",
+						i, len(specs), prof.Name, q, part, score, ok, wantPart, wantScore, wantOK)
+				}
+				if ok {
+					found++
+				}
+			}
+		}
+	}
+	if total := 6 * len(sets); found == 0 || found == total {
+		t.Errorf("%d of %d searches found a partition: the sets miss feasible or infeasible cases", found, total)
 	}
 }
