@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 
 	"emeralds/internal/kernel"
@@ -93,6 +94,60 @@ func TestRingOverwrite(t *testing.T) {
 		if c.Vals[i] < c.Vals[i-1] {
 			t.Fatalf("releases not monotone at %d: %d < %d", i, c.Vals[i], c.Vals[i-1])
 		}
+	}
+}
+
+// TestRingGrowthKeepsTail: a ring that grows on demand keeps every
+// sample it takes (the releases column matches a count worked out from
+// the periods), and once it wraps it retains exactly the newest samples
+// of a run that never wraps, with the start instant and dropped count
+// that imply, at capacities below, at and across the growth steps.
+func TestRingGrowthKeepsTail(t *testing.T) {
+	const ticks = 1100
+	// No tick coincides with a release at a multiple of 1 ms, so a
+	// sample counts exactly the releases before it.
+	interval := 999 * vtime.Microsecond
+	horizon := ticks * interval
+	full, _ := sampledRun(t, Config{Interval: interval, Capacity: 4096}, 2, horizon)
+	all := full.Series()
+	if all.Samples != ticks || all.Dropped != 0 {
+		t.Fatalf("unwrapped run: samples = %d dropped = %d, want %d/0", all.Samples, all.Dropped, ticks)
+	}
+	for i, got := range all.Col("releases").Vals {
+		at := vtime.Duration(i+1) * interval
+		var want uint64
+		for _, p := range []vtime.Duration{10, 25, 50} { // sampledRun's periods
+			want += uint64(at/(p*vtime.Millisecond)) + 1
+		}
+		if got != want {
+			t.Fatalf("sample %d: releases = %d, want %d", i, got, want)
+		}
+	}
+	for _, capacity := range []int{2, 16, firstSamples - 1, firstSamples, firstSamples + 1, 300, 2 * firstSamples, 1024, ticks, 2048} {
+		rec, _ := sampledRun(t, Config{Interval: interval, Capacity: capacity}, 2, horizon)
+		s := rec.Series()
+		kept := min(capacity, ticks)
+		start := all.StartNs + int64(ticks-kept)*all.IntervalNs
+		if s.Samples != kept || s.Dropped != ticks-kept || s.StartNs != start {
+			t.Errorf("capacity %d: samples %d dropped %d start %d, want %d/%d/%d", capacity,
+				s.Samples, s.Dropped, s.StartNs, kept, ticks-kept, start)
+			continue
+		}
+		for i, c := range s.Columns {
+			if c.Name != all.Columns[i].Name || !slices.Equal(c.Vals, all.Columns[i].Vals[ticks-kept:]) {
+				t.Errorf("capacity %d: column %s differs from the unwrapped run's newest %d samples", capacity, c.Name, kept)
+				break
+			}
+		}
+	}
+}
+
+// TestSampleZeroAllocWhenFull: once the ring is full, a tick writes in
+// place and allocates nothing.
+func TestSampleZeroAllocWhenFull(t *testing.T) {
+	rec, _ := sampledRun(t, Config{Interval: vtime.Millisecond, Capacity: 16}, 2, 100*vtime.Millisecond)
+	if allocs := testing.AllocsPerRun(100, rec.sample); allocs != 0 {
+		t.Errorf("a tick into a full ring allocates %v times, want 0", allocs)
 	}
 }
 
