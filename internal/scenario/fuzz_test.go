@@ -27,16 +27,16 @@ func FuzzReproRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"name":"x","tasks":[{"spec":{"name":"a","period":1000}}]}`))
 	f.Add([]byte(`not a scenario`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Scenario
-		if err := json.Unmarshal(data, &s); err != nil {
+		s, err := decodeRepro(data)
+		if err != nil {
 			return
 		}
-		out, err := json.Marshal(&s)
+		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("parsed scenario does not re-marshal: %v", err)
 		}
-		var back Scenario
-		if err := json.Unmarshal(out, &back); err != nil {
+		back, err := decodeRepro(out)
+		if err != nil {
 			t.Fatalf("re-marshaled scenario does not parse: %v", err)
 		}
 		if !reflect.DeepEqual(s, back) {

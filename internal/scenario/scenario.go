@@ -223,9 +223,34 @@ func ReadRepro(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := decodeRepro(data)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: parse %s: %w", path, err)
 	}
+	return s, nil
+}
+
+// decodeRepro parses a repro. An empty list in a member that is left
+// out when empty (counting, mailboxes, vlinks, a task's arrivals)
+// decodes to nil, as the member left out reads back, so every repro
+// survives a write and a read unchanged.
+func decodeRepro(data []byte) (*Scenario, error) {
+	var s Scenario
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
+	s.Counting = nilIfEmpty(s.Counting)
+	s.Mailboxes = nilIfEmpty(s.Mailboxes)
+	s.VLinks = nilIfEmpty(s.VLinks)
+	for i := range s.Tasks {
+		s.Tasks[i].Arrivals = nilIfEmpty(s.Tasks[i].Arrivals)
+	}
 	return &s, nil
+}
+
+func nilIfEmpty[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return xs
 }
