@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"emeralds/internal/cli/clitest"
@@ -91,5 +92,16 @@ func TestUntracedRunDropsNothing(t *testing.T) {
 	}
 	if d := art.Diagnostics.TraceDropped; d != 0 {
 		t.Errorf("untraced run reports %d dropped trace events, want 0", d)
+	}
+}
+
+// TestGanttAfterRingWrap: -gantt records into a 1<<16-event ring,
+// which a minute of a 30-task set wraps many times over. The chart of
+// the first 5 ms, whose events are gone, says so instead of printing
+// only the time axis.
+func TestGanttAfterRingWrap(t *testing.T) {
+	out := clitest.Run(t, "-n", "30", "-u", "0.7", "-ms", "60000", "-gantt", "5")
+	if !strings.Contains(out, "the trace ring dropped its") {
+		t.Errorf("gantt of an overwritten window does not say so:\n%s", out)
 	}
 }

@@ -27,14 +27,16 @@ func Main(m *testing.M, main func()) {
 	os.Exit(m.Run())
 }
 
-// Run runs the command with args in a child process and fails the
-// test unless it exits 0.
-func Run(t *testing.T, args ...string) {
+// Run runs the command with args in a child process, fails the test
+// unless it exits 0, and returns its standard output.
+func Run(t *testing.T, args ...string) string {
 	t.Helper()
 	cmd, stderr := child(args)
-	if err := cmd.Run(); err != nil {
+	out, err := cmd.Output()
+	if err != nil {
 		t.Fatalf("%v: %v, stderr %q", args, err, stderr)
 	}
+	return string(out)
 }
 
 // Refused runs the command with args in a child process and fails the

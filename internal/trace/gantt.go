@@ -32,11 +32,16 @@ type ganttRow struct {
 // Gantt renders the dispatch/preempt/block structure of the retained
 // events. It reconstructs intervals from Dispatch / Preempt / BlockEv /
 // Complete / Miss / Release / UnblockEv events, so any trace produced
-// by the kernel works.
+// by the kernel works. When the ring has dropped the events at the
+// window's start, it says so instead of drawing rows it cannot fill.
 func (l *Log) Gantt(cfg GanttConfig) string {
 	evs := l.Events()
 	if len(evs) == 0 {
 		return "(no events)\n"
+	}
+	if d := l.Dropped(); d > 0 && evs[0].At > cfg.From {
+		return fmt.Sprintf("(window starts at %v, but the trace ring dropped its %d oldest events: the oldest retained one is at %v)\n",
+			cfg.From, d, evs[0].At)
 	}
 	if cfg.To == 0 {
 		cfg.To = evs[len(evs)-1].At

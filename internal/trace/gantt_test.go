@@ -133,3 +133,22 @@ func TestGanttDefaults(t *testing.T) {
 		t.Errorf("default window wrong:\n%s", out)
 	}
 }
+
+// TestGanttWrappedRingSaysSo: once the ring has dropped the events at
+// the window's start, the chart names what was lost instead of drawing
+// empty rows; a window that starts at or after the oldest retained
+// event still renders.
+func TestGanttWrappedRingSaysSo(t *testing.T) {
+	l := New(4)
+	for i := 0; i < 10; i++ {
+		l.Add(ms(float64(i)), Dispatch, "a", "")
+		l.Add(ms(float64(i)+0.5), Complete, "a", "")
+	}
+	out := l.Gantt(GanttConfig{To: ms(5), Width: 20})
+	if !strings.Contains(out, "dropped its 16 oldest events") || strings.Contains(out, "·") {
+		t.Errorf("overwritten window rendered as:\n%s", out)
+	}
+	if out := l.Gantt(GanttConfig{From: ms(8), To: ms(10), Width: 20}); !strings.Contains(out, "█") {
+		t.Errorf("window inside the retained events rendered as:\n%s", out)
+	}
+}
