@@ -62,6 +62,13 @@ for div in 1 2 3; do
     go run ./scripts/artifactdiff "results/figure$((div + 2)).json" "$tmp/figure$((div + 2)).json"
 done
 
+echo "== partition search regression (csdsearch vs results/) =="
+# The §5.5.3 search must keep choosing the same CSD-3 split at the same
+# overhead fraction: regenerate the committed n = 100 search and compare
+# it with results/, ignoring only the volatile "run" block.
+go run ./cmd/csdsearch -n 100 -u 0.7 -quiet -json-out "$tmp/csdsearch.json" >/dev/null
+go run ./scripts/artifactdiff results/csdsearch.json "$tmp/csdsearch.json"
+
 echo "== multicore determinism gate =="
 # An M=4 run must produce identical artifacts regardless of host
 # parallelism (GOMAXPROCS) and harness fan-out (-workers).
@@ -138,12 +145,13 @@ echo "== allocation smoke gate =="
 # shards (called on every telemetry tick), the kernel run loop of an
 # untraced 30-task emsim run under all five policies after warm-up,
 # trace recording into a full ring, the Perfetto export, whose
-# allocations must not grow with the event count, and the attribution
-# replay, which allocates fewer than once per 50 events.
+# allocations must not grow with the event count, a telemetry tick into
+# a full ring, and the attribution replay, which allocates fewer than
+# once per 50 events.
 # A steady-state allocation anywhere on these paths fails here before it
 # can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
     ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/ \
-    ./internal/trace/ ./internal/attrib/
+    ./internal/trace/ ./internal/telemetry/ ./internal/attrib/
 
 echo "ci: all green"
