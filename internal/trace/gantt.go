@@ -35,16 +35,18 @@ type ganttRow struct {
 // by the kernel works. When the ring has dropped the events at the
 // window's start, it says so instead of drawing rows it cannot fill.
 func (l *Log) Gantt(cfg GanttConfig) string {
-	evs := l.Events()
-	if len(evs) == 0 {
+	segs := l.segments()
+	if len(segs) == 0 {
 		return "(no events)\n"
 	}
-	if d := l.Dropped(); d > 0 && evs[0].At > cfg.From {
+	oldest := segs[0][0].At
+	if d := l.Dropped(); d > 0 && oldest > cfg.From {
 		return fmt.Sprintf("(window starts at %v, but the trace ring dropped its %d oldest events: the oldest retained one is at %v)\n",
-			cfg.From, d, evs[0].At)
+			cfg.From, d, oldest)
 	}
 	if cfg.To == 0 {
-		cfg.To = evs[len(evs)-1].At
+		newest := segs[len(segs)-1]
+		cfg.To = newest[len(newest)-1].At
 	}
 	if cfg.Width <= 0 {
 		cfg.Width = 72
@@ -121,35 +123,38 @@ func (l *Log) Gantt(cfg GanttConfig) string {
 	}
 
 	var running string
-	for _, e := range evs {
-		if e.At < cfg.From || e.At > cfg.To {
-			continue
-		}
-		switch e.Kind {
-		case Dispatch:
-			if running != "" && running != e.Task {
-				transition(running, e.At, stateReady)
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			if e.At < cfg.From || e.At > cfg.To {
+				continue
 			}
-			running = e.Task
-			transition(e.Task, e.At, stateRunning)
-		case Preempt:
-			transition(e.Task, e.At, stateReady)
-			if running == e.Task {
-				running = ""
-			}
-		case Release, UnblockEv:
-			if state[e.Task] != stateRunning {
+			switch e.Kind {
+			case Dispatch:
+				if running != "" && running != e.Task {
+					transition(running, e.At, stateReady)
+				}
+				running = e.Task
+				transition(e.Task, e.At, stateRunning)
+			case Preempt:
 				transition(e.Task, e.At, stateReady)
-			}
-		case BlockEv, Complete, Miss:
-			transition(e.Task, e.At, stateOff)
-			if running == e.Task {
-				running = ""
-			}
-		case Idle:
-			if running != "" {
-				transition(running, e.At, stateOff)
-				running = ""
+				if running == e.Task {
+					running = ""
+				}
+			case Release, UnblockEv:
+				if state[e.Task] != stateRunning {
+					transition(e.Task, e.At, stateReady)
+				}
+			case BlockEv, Complete, Miss:
+				transition(e.Task, e.At, stateOff)
+				if running == e.Task {
+					running = ""
+				}
+			case Idle:
+				if running != "" {
+					transition(running, e.At, stateOff)
+					running = ""
+				}
 			}
 		}
 	}

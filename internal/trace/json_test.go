@@ -142,9 +142,12 @@ func TestDroppedTravelsThroughJSON(t *testing.T) {
 
 // refRaw builds the RawLog of l's retained events with encoding/json's
 // types: the reference the streamed raw block is compared against.
-func refRaw(l *Log) RawLog {
-	evs := l.Events()
-	out := RawLog{Schema: RawSchema, Total: l.Total(), Dropped: l.Dropped(), Events: make([]RawEvent, len(evs))}
+func refRaw(l *Log) RawLog { return rawOf(l.Events(), l.Total(), l.Dropped()) }
+
+// rawOf builds the RawLog of the retained events evs of a log that
+// recorded total events and dropped the oldest dropped of them.
+func rawOf(evs []Event, total, dropped uint64) RawLog {
+	out := RawLog{Schema: RawSchema, Total: total, Dropped: dropped, Events: make([]RawEvent, len(evs))}
 	for i, e := range evs {
 		out.Events[i] = RawEvent{
 			At: int64(e.At), Kind: e.Kind.String(), Task: e.Task,

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"emeralds/internal/vtime"
 )
@@ -127,38 +131,109 @@ func (r *fixedRing) events() []Event {
 	return append(append([]Event{}, r.slots[at:]...), r.slots[:at]...)
 }
 
-// TestRingGrowthBoundaries: a ring that grows on demand keeps exactly
-// what a fixed ring of the same capacity keeps, at and around the
-// capacities where growth starts, doubles, is clipped and wraps, and
-// its backing array never exceeds the capacity.
+// ringCounts returns the event counts TestRingGrowthBoundaries records
+// into a ring of the given capacity: around the capacity, three times
+// it, and wraps that leave the oldest event on each block edge and in
+// the middle of each block.
+func ringCounts(capacity int) []int {
+	ns := []int{capacity - 1, capacity, capacity + 1, 3 * capacity}
+	for off := 0; off < capacity; off += blockLen {
+		ns = append(ns, 2*capacity+off, 2*capacity+off+min(blockLen, capacity-off)/2)
+	}
+	return ns
+}
+
+// TestRingGrowthBoundaries: a ring stored in blocks keeps exactly what a
+// fixed ring of the same capacity keeps, at and around the capacities
+// where a block starts, fills, is clipped and wraps, and with the oldest
+// event on a block edge or mid-block. Its blocks never hold more than
+// the capacity, nor more than what it keeps rounded up to one block,
+// and both exports write the reference's bytes.
 func TestRingGrowthBoundaries(t *testing.T) {
-	for _, capacity := range []int{1, 2, 255, 256, 257, 4096} {
-		for _, n := range []int{capacity - 1, capacity, capacity + 1, 3 * capacity} {
+	names := []string{"t0", "t1", "t2", "isr", ""}
+	for _, capacity := range []int{1, 2, 255, 256, 257, 511, 512, 513, 1024, 1025, 3*512 + 7, 4096} {
+		for _, n := range ringCounts(capacity) {
 			l := New(capacity)
 			ref := &fixedRing{slots: make([]Event, capacity)}
 			for i := 0; i < n; i++ {
-				e := Event{At: vtime.Time(i), Kind: Kind(i % int(NumKinds)), Task: "t", CPU: i % 3}
+				e := Event{At: vtime.Time(i), Kind: Kind(i % int(NumKinds)), Task: names[i%len(names)], CPU: i % 3}
+				if i%7 == 0 {
+					e.Detail, e.Dur = "m", vtime.Duration(i)
+				}
 				l.AddDurCPU(e.At, e.Kind, e.Task, e.Detail, e.Dur, e.CPU)
 				ref.add(e)
-				if c := cap(l.ring); c > capacity {
-					t.Fatalf("cap %d after %d events: backing array holds %d", capacity, i+1, c)
-				}
+			}
+			label := fmt.Sprintf("cap %d, %d events", capacity, n)
+			stored := 0
+			for _, b := range l.blocks {
+				stored += len(b)
+			}
+			if kept := min(n, capacity); stored > capacity || stored > (kept+blockMask)&^blockMask {
+				t.Fatalf("%s: blocks hold %d events", label, stored)
 			}
 			got, want := l.Events(), ref.events()
 			if len(got) != len(want) {
-				t.Fatalf("cap %d, %d events: retained %d, want %d", capacity, n, len(got), len(want))
+				t.Fatalf("%s: retained %d, want %d", label, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("cap %d, %d events: event %d = %+v, want %+v", capacity, n, i, got[i], want[i])
+					t.Fatalf("%s: event %d = %+v, want %+v", label, i, got[i], want[i])
 				}
 			}
 			if l.Total() != uint64(n) {
-				t.Errorf("cap %d, %d events: total %d", capacity, n, l.Total())
+				t.Errorf("%s: total %d", label, l.Total())
 			}
-			if want := uint64(max(n-capacity, 0)); l.Dropped() != want {
-				t.Errorf("cap %d, %d events: dropped %d, want %d", capacity, n, l.Dropped(), want)
+			dropped := uint64(max(n-capacity, 0))
+			if l.Dropped() != dropped {
+				t.Errorf("%s: dropped %d, want %d", label, l.Dropped(), dropped)
 			}
+			raw := rawOf(want, uint64(n), dropped)
+			var js, pf bytes.Buffer
+			if err := l.ExportJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.ExportPerfetto(&pf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(js.Bytes(), encodeRef(t, raw)) {
+				t.Fatalf("%s: ExportJSON differs from the reference ring's", label)
+			}
+			if !bytes.Equal(pf.Bytes(), encodeRef(t, buildPerfettoDoc(want, map[string]any{"emeraldsTrace": raw}))) {
+				t.Fatalf("%s: ExportPerfetto differs from the reference ring's", label)
+			}
+		}
+	}
+}
+
+// allocBytes returns the fewest bytes f allocated in three runs.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestLogAddAllocationBytes: recording n events into emsim's 1<<20-event
+// ring allocates the log, ⌈n/blockLen⌉ blocks and the block table, whose
+// appends allocate at most four times its final length in headers. A
+// ring that doubles a contiguous array allocates about twice what it
+// keeps.
+func TestLogAddAllocationBytes(t *testing.T) {
+	for _, n := range []int{1, blockLen - 1, blockLen, blockLen + 1, benchEvents} {
+		events := cycleEvents(n, 1)
+		blocks := (n + blockMask) / blockLen
+		limit := uint64(unsafe.Sizeof(Log{})) +
+			uint64(blocks)*blockLen*uint64(unsafe.Sizeof(Event{})) +
+			4*uint64(blocks)*uint64(unsafe.Sizeof([]Event(nil)))
+		if got := allocBytes(func() { logOf(events) }); got > limit {
+			t.Errorf("recording %d events allocated %d bytes; want at most %d (%d blocks and the table)",
+				n, got, limit, blocks)
 		}
 	}
 }
