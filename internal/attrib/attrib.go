@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
@@ -106,10 +107,33 @@ type Activation struct {
 	// Aborted marks activations torn down by a fault (job-killed) or
 	// cut off by the end of the trace; their partition is still exact
 	// over [ReleasedAt, EndAt] but they never retired.
-	Aborted   bool
-	Response  vtime.Duration
-	Comp      [NumComponents]vtime.Duration
-	Intervals []Interval
+	Aborted  bool
+	Response vtime.Duration
+	Comp     [NumComponents]vtime.Duration
+
+	spans  []span  // the labeled intervals in replay form, in the analysis's slab
+	tables *tables // the analysis's names, which the spans index
+}
+
+// Intervals returns the activation's labeled intervals, in order: they
+// tile [ReleasedAt, EndAt]. The analysis keeps them in a compact form
+// without strings; each call expands them into a new slice, nil when
+// there are none.
+func (a *Activation) Intervals() []Interval {
+	if len(a.spans) == 0 {
+		return nil
+	}
+	t := a.tables
+	ivs := make([]Interval, len(a.spans))
+	for i := range a.spans {
+		sp, iv := &a.spans[i], &ivs[i]
+		iv.From, iv.To, iv.Comp, iv.Inversion = sp.from, sp.to, sp.comp, sp.inv
+		iv.Culprit, iv.Runner, iv.Sem = t.labels[sp.culprit], t.labels[sp.runner], t.sems[sp.sem]
+		if sp.chain >= 0 {
+			iv.Chain = t.chains[sp.chain]
+		}
+	}
+	return ivs
 }
 
 // Residual is Response minus the component sum — zero for an exact
@@ -203,12 +227,14 @@ const (
 // closing event (reference_test.go keeps that replay as the reference).
 //
 // A live activation keeps its intervals as spans, in storage its task
-// reuses from one activation to the next; retire expands them into the
-// shared slab of Intervals the Analysis returns.
+// reuses from one activation to the next; retire copies them into the
+// shared slab the retired activations keep, and Activation.Intervals
+// expands them on demand from the analysis's final tables.
 
 // span is an Interval in replay form. Its strings are label and
 // semaphore indices, so spans compare without string compares and hold
-// no pointers for the collector to scan.
+// no pointers for the collector to scan: the slab of a whole trace's
+// spans is memory the garbage collector never marks.
 type span struct {
 	from, to vtime.Time
 	culprit  int32 // label
@@ -302,13 +328,26 @@ type replay struct {
 	epoch uint32
 	chain []int32 // scratch for chainOf
 
-	slab     []Interval // retired activations' intervals
-	slabSize int        // intervals per slab chunk
+	slab     []span     // retired activations' spans
+	slabSize int        // spans per slab chunk
 	chains   [][]string // blocking chains of intervals, by span.chain
 	names    []string   // storage of chains
+	tables   *tables    // filled in when the replay ends
 
 	an *Analysis
 }
+
+// tables holds the names the spans of an analysis's activations index:
+// its culprit and runner labels, semaphores and blocking chains. Analyze
+// fills it in once the replay has seen every name.
+type tables struct {
+	labels []string
+	sems   []string
+	chains [][]string
+}
+
+// slabChunk is the most spans a slab chunk holds: 32 kB.
+const slabChunk = 32 << 10 / int(unsafe.Sizeof(span{}))
 
 // ErrTruncated reports that a trace lost events to ring overflow.
 // Attribution over a truncated window is silently wrong — the oldest
@@ -359,7 +398,8 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 		cpuIDs:   map[int]int32{0: 0},
 		running:  []int32{-1},
 		closedAt: []vtime.Time{-1},
-		slabSize: min(max(len(events)/4, 64), 4096),
+		slabSize: min(max(len(events)/4, 64), slabChunk),
+		tables:   &tables{},
 		an: &Analysis{
 			Open:    map[string]int{},
 			Dropped: dropped,
@@ -395,6 +435,7 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 	for _, i := range r.byRank {
 		r.an.Tasks = append(r.an.Tasks, r.tasks[i].info)
 	}
+	*r.tables = tables{labels: r.labels.strs, sems: r.sems.strs, chains: r.chains}
 	sort.SliceStable(r.an.Inversions, func(i, j int) bool {
 		return r.an.Inversions[i].From < r.an.Inversions[j].From
 	})
@@ -750,42 +791,23 @@ func (r *replay) finish(t *replayTask, end vtime.Time) {
 		sp := &t.spans[i]
 		a.Comp[sp.comp] += sp.to.Sub(sp.from)
 	}
-	a.Intervals = r.retire(t.spans)
+	a.spans, a.tables = r.retire(t.spans), r.tables
 	t.spans = t.spans[:0]
 }
 
-// retire expands a retiring activation's spans into the shared slab.
-// The slab grows in chunks that are never reallocated, so earlier
+// retire copies a retiring activation's spans into the shared slab. The
+// slab grows in chunks that are never reallocated, so earlier
 // activations keep their slices.
-func (r *replay) retire(spans []span) []Interval {
+func (r *replay) retire(spans []span) []span {
 	if len(spans) == 0 {
 		return nil
 	}
 	if cap(r.slab)-len(r.slab) < len(spans) {
-		r.slab = make([]Interval, 0, max(r.slabSize, len(spans)))
+		r.slab = make([]span, 0, max(r.slabSize, len(spans)))
 	}
 	n := len(r.slab)
-	r.slab = r.slab[:n+len(spans)]
-	ivs := r.slab[n:len(r.slab):len(r.slab)]
-	for i := range spans {
-		sp, iv := &spans[i], &ivs[i]
-		iv.From, iv.To, iv.Comp, iv.Inversion = sp.from, sp.to, sp.comp, sp.inv
-		// The slab is zeroed, and label and semaphore 0 are "": store only
-		// the other strings.
-		if sp.culprit != 0 {
-			iv.Culprit = r.labels.strs[sp.culprit]
-		}
-		if sp.runner != 0 {
-			iv.Runner = r.labels.strs[sp.runner]
-		}
-		if sp.sem != 0 {
-			iv.Sem = r.sems.strs[sp.sem]
-		}
-		if sp.chain >= 0 {
-			iv.Chain = r.chains[sp.chain]
-		}
-	}
-	return ivs
+	r.slab = append(r.slab, spans...)
+	return r.slab[n:len(r.slab):len(r.slab)]
 }
 
 // addChain keeps a named copy of a non-empty blocking chain and returns

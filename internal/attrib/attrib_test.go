@@ -40,7 +40,7 @@ func checkExact(t *testing.T, an *attrib.Analysis, label string) (completed int)
 			}
 		}
 		at := a.ReleasedAt
-		for i, iv := range a.Intervals {
+		for i, iv := range a.Intervals() {
 			if iv.From != at {
 				t.Errorf("%s: %s activation %d: interval %d starts at %v, want %v (gap or overlap)",
 					label, a.Task, a.Index, i, iv.From, at)
@@ -190,7 +190,7 @@ func TestBlockedAttributionNamesHolder(t *testing.T) {
 			continue
 		}
 		found = true
-		for _, iv := range a.Intervals {
+		for _, iv := range a.Intervals() {
 			if iv.Comp == attrib.Blocked && iv.Sem == "m" && iv.Culprit != "low" {
 				t.Errorf("blocked interval charged to %q, want low", iv.Culprit)
 			}
@@ -215,7 +215,7 @@ func TestPreemptedAttributionNamesPreemptor(t *testing.T) {
 		if a.Task != "victim" || a.Aborted {
 			continue
 		}
-		for _, iv := range a.Intervals {
+		for _, iv := range a.Intervals() {
 			if iv.Comp == attrib.Preempted {
 				if iv.Culprit != "hog" {
 					t.Errorf("preempted interval charged to %q, want hog", iv.Culprit)
@@ -400,7 +400,7 @@ func TestHugeCPUIDReplays(t *testing.T) {
 		{From: 10, To: 30, Comp: attrib.Preempted, Culprit: "b"},
 		{From: 30, To: 40, Comp: attrib.Running},
 	}
-	if got := an.Activations[0].Intervals; !reflect.DeepEqual(got, want) {
+	if got := an.Activations[0].Intervals(); !reflect.DeepEqual(got, want) {
 		t.Errorf("a's intervals %+v, want %+v", got, want)
 	}
 }

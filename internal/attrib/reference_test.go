@@ -11,16 +11,17 @@ import (
 
 // This file holds the literal replay: at every closing event it walks
 // all tasks through string-keyed maps and labels each waiting task's
-// span afresh. It is the reference the property tests in replay_test.go
-// hold Analyze to: both must return reflect.DeepEqual analyses for every
-// trace.
+// span afresh, and it builds each activation's []Interval as it goes.
+// It is the reference the property tests in replay_test.go hold Analyze
+// to: for every trace both must return equal analyses, and each
+// activation's Intervals() must equal the intervals built here.
 
 type refTask struct {
 	info       TaskInfo
 	state      taskState
 	since      vtime.Time // last interval cut for non-running states
 	runStart   vtime.Time // dispatch instant while running
-	act        *Activation
+	act        *refActivation
 	actCount   int
 	waitSem    string    // semaphore name while stBlockedSem
 	holder     string    // holder recorded in the block event's detail
@@ -30,13 +31,21 @@ type refTask struct {
 	migTarget  string    // migrate detail ("to=cpuN") while in transit
 }
 
+// refActivation is a live activation with the intervals the reference
+// builds for it.
+type refActivation struct {
+	Activation
+	intervals []Interval
+}
+
 type refReplay struct {
-	order   []string
-	tasks   map[string]*refTask
-	running []string // per-CPU: task occupying the CPU, "" when idle
-	semOwn  map[string]string
-	an      *Analysis
-	invOpen map[string]*Inversion // victim → open inversion window
+	order     []string
+	tasks     map[string]*refTask
+	running   []string // per-CPU: task occupying the CPU, "" when idle
+	semOwn    map[string]string
+	an        *Analysis
+	intervals [][]Interval          // per retired activation, in an.Activations order
+	invOpen   map[string]*Inversion // victim → open inversion window
 }
 
 // runningOn reports the task occupying CPU c ("" when idle or the CPU
@@ -57,11 +66,12 @@ func (r *refReplay) setRunning(c int, task string) {
 	r.running[c] = task
 }
 
-// analyzeReference is Analyze by the reference replay. Its per-CPU
-// slate grows to the largest CPU id, so keep ids small in its input.
-func analyzeReference(events []trace.Event, dropped uint64) (*Analysis, error) {
+// analyzeReference is Analyze by the reference replay, which also
+// returns each activation's intervals. Its per-CPU slate grows to the
+// largest CPU id, so keep ids small in its input.
+func analyzeReference(events []trace.Event, dropped uint64) (*Analysis, [][]Interval, error) {
 	if dropped > 0 {
-		return nil, fmt.Errorf("%w (%d events dropped)", ErrTruncated, dropped)
+		return nil, nil, fmt.Errorf("%w (%d events dropped)", ErrTruncated, dropped)
 	}
 	r := &refReplay{
 		tasks:   map[string]*refTask{},
@@ -75,10 +85,10 @@ func analyzeReference(events []trace.Event, dropped uint64) (*Analysis, error) {
 	var last vtime.Time
 	for i, e := range events {
 		if e.At < last {
-			return nil, fmt.Errorf("attrib: event %d (%v %s) goes backwards in time", i, e.Kind, e.Task)
+			return nil, nil, fmt.Errorf("attrib: event %d (%v %s) goes backwards in time", i, e.Kind, e.Task)
 		}
 		if e.CPU < 0 {
-			return nil, fmt.Errorf("attrib: event %d (%v %s) names negative cpu %d", i, e.Kind, e.Task, e.CPU)
+			return nil, nil, fmt.Errorf("attrib: event %d (%v %s) names negative cpu %d", i, e.Kind, e.Task, e.CPU)
 		}
 		last = e.At
 		r.step(e)
@@ -104,7 +114,7 @@ func analyzeReference(events []trace.Event, dropped uint64) (*Analysis, error) {
 	sort.SliceStable(r.an.Inversions, func(i, j int) bool {
 		return r.an.Inversions[i].From < r.an.Inversions[j].From
 	})
-	return r.an, nil
+	return r.an, r.intervals, nil
 }
 
 func (r *refReplay) task(name string) *refTask {
@@ -137,12 +147,12 @@ func (r *refReplay) step(e trace.Event) {
 			t.act.Aborted = true
 			r.finish(t, e.At)
 		}
-		t.act = &Activation{
+		t.act = &refActivation{Activation: Activation{
 			Task:       e.Task,
 			Index:      t.actCount,
 			ReleasedAt: e.At,
 			Deadline:   e.At.Add(t.info.Deadline),
-		}
+		}}
 		t.actCount++
 		t.state = stReady
 		t.since = e.At
@@ -307,11 +317,12 @@ func (r *refReplay) finish(t *refTask, end vtime.Time) {
 	t.act = nil
 	a.EndAt = end
 	a.Response = end.Sub(a.ReleasedAt)
-	for _, iv := range a.Intervals {
+	for _, iv := range a.intervals {
 		a.Comp[iv.Comp] += iv.Dur()
 	}
 	r.endInversion(a.Task, end)
-	r.an.Activations = append(r.an.Activations, *a)
+	r.an.Activations = append(r.an.Activations, a.Activation)
+	r.intervals = append(r.intervals, a.intervals)
 }
 
 // endOccupancy books the span since dispatch as running plus a trailing
@@ -329,7 +340,7 @@ func (t *refTask) appendInterval(iv Interval) {
 	if t.act == nil || iv.To == iv.From {
 		return
 	}
-	ivs := t.act.Intervals
+	ivs := t.act.intervals
 	if n := len(ivs); n > 0 {
 		last := &ivs[n-1]
 		if last.To == iv.From && last.Comp == iv.Comp && last.Culprit == iv.Culprit &&
@@ -338,7 +349,7 @@ func (t *refTask) appendInterval(iv Interval) {
 			return
 		}
 	}
-	t.act.Intervals = append(t.act.Intervals, iv)
+	t.act.intervals = append(t.act.intervals, iv)
 }
 
 // closeSpans closes the open attribution span of every waiting task at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"emeralds/internal/attrib"
@@ -15,31 +16,52 @@ import (
 )
 
 // checkSameAsReference holds Analyze to the reference replay on one
-// trace: the same error, or reflect.DeepEqual analyses.
+// trace: the same error, or analyses whose exported fields are equal,
+// with every activation's exported fields equal to the reference's and
+// its Intervals() equal to the intervals the reference built for it.
 func checkSameAsReference(t *testing.T, label string, events []trace.Event) {
 	t.Helper()
 	got, gotErr := attrib.Analyze(events, 0)
-	want, wantErr := attrib.AnalyzeReference(events, 0)
+	want, wantIntervals, wantErr := attrib.AnalyzeReference(events, 0)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: Analyze error %v, reference %v", label, gotErr, wantErr)
 	}
-	if reflect.DeepEqual(got, want) {
+	if gotErr != nil {
 		return
 	}
-	switch {
-	case !reflect.DeepEqual(got.Tasks, want.Tasks):
-		t.Fatalf("%s: tasks differ:\n got %+v\nwant %+v", label, got.Tasks, want.Tasks)
-	case len(got.Activations) != len(want.Activations):
+	if f := differingField(*got, *want, "Activations"); f != "" {
+		t.Fatalf("%s: Analysis.%s differs:\n got %+v\nwant %+v", label, f, got, want)
+	}
+	if len(got.Activations) != len(want.Activations) {
 		t.Fatalf("%s: %d activations, reference %d", label, len(got.Activations), len(want.Activations))
-	case !reflect.DeepEqual(got.Inversions, want.Inversions):
-		t.Fatalf("%s: inversions differ:\n got %+v\nwant %+v", label, got.Inversions, want.Inversions)
 	}
 	for i := range got.Activations {
-		if g, w := got.Activations[i], want.Activations[i]; !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: activation %d differs:\n got %+v\nwant %+v", label, i, g, w)
+		g, w := &got.Activations[i], &want.Activations[i]
+		if f := differingField(*g, *w); f != "" {
+			t.Fatalf("%s: activation %d: %s differs:\n got %+v\nwant %+v", label, i, f, *g, *w)
+		}
+		if ivs := g.Intervals(); !reflect.DeepEqual(ivs, wantIntervals[i]) {
+			t.Fatalf("%s: activation %d (%s #%d): intervals differ:\n got %+v\nwant %+v",
+				label, i, g.Task, g.Index, ivs, wantIntervals[i])
 		}
 	}
-	t.Fatalf("%s: analyses differ:\n got %+v\nwant %+v", label, got, want)
+}
+
+// differingField returns the name of the first exported field of the
+// structs a and b, other than those in skip, on which they differ under
+// reflect.DeepEqual; "" when there is none.
+func differingField(a, b any, skip ...string) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		if !f.IsExported() || slices.Contains(skip, f.Name) {
+			continue
+		}
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return f.Name
+		}
+	}
+	return ""
 }
 
 // randomNode builds a random contended workload: nested mutexes (so

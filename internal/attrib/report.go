@@ -291,18 +291,19 @@ func activationAt(acts []*Activation, at vtime.Time) *Activation {
 // reported chronologically. A miss with no non-running time — the job
 // simply computes past its deadline — names the task itself.
 func criticalPath(a *Activation, lateness vtime.Duration) []CulpritInterval {
-	idx := make([]int, 0, len(a.Intervals))
-	for i, iv := range a.Intervals {
+	ivs := a.Intervals()
+	idx := make([]int, 0, len(ivs))
+	for i, iv := range ivs {
 		if iv.Comp != Running && iv.Dur() > 0 {
 			idx = append(idx, i)
 		}
 	}
 	sort.SliceStable(idx, func(x, y int) bool {
-		dx, dy := a.Intervals[idx[x]].Dur(), a.Intervals[idx[y]].Dur()
+		dx, dy := ivs[idx[x]].Dur(), ivs[idx[y]].Dur()
 		if dx != dy {
 			return dx > dy
 		}
-		return a.Intervals[idx[x]].From < a.Intervals[idx[y]].From
+		return ivs[idx[x]].From < ivs[idx[y]].From
 	})
 	var chosen []int
 	var cum vtime.Duration
@@ -311,12 +312,12 @@ func criticalPath(a *Activation, lateness vtime.Duration) []CulpritInterval {
 			break
 		}
 		chosen = append(chosen, i)
-		cum += a.Intervals[i].Dur()
+		cum += ivs[i].Dur()
 	}
 	sort.Ints(chosen)
 	out := make([]CulpritInterval, 0, len(chosen))
 	for _, i := range chosen {
-		iv := a.Intervals[i]
+		iv := ivs[i]
 		culprit := iv.Culprit
 		if iv.Comp == Overhead {
 			culprit = "kernel"
