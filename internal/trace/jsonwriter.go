@@ -11,7 +11,10 @@ import (
 // Streaming JSON output for the trace exports. Both the Perfetto export
 // and the raw log append their objects to one reused buffer and hand it
 // to the destination in chunks, so an export costs a fixed number of
-// allocations however many events it writes. The appenders reproduce
+// allocations however many events it writes. Each object is appended to
+// a local copy of the buffer with the append* functions and stored back
+// once: while the garbage collector marks, every store of the buffer
+// into the writer runs a write barrier. The appenders reproduce
 // encoding/json's bytes exactly: its float format and its HTML-safe
 // string escaping. Callers write object keys in the order encoding/json
 // would (lexical for maps, declaration order for structs).
@@ -54,29 +57,12 @@ func (j *jsonWriter) flush() error {
 // lit appends s verbatim: JSON punctuation, keys and known-safe values.
 func (j *jsonWriter) lit(s string) { j.buf = append(j.buf, s...) }
 
-// str appends s as a JSON string.
-func (j *jsonWriter) str(s string) { j.buf = appendString(j.buf, s) }
-
-// num appends an integer.
-func (j *jsonWriter) num(n int64) { j.buf = strconv.AppendInt(j.buf, n, 10) }
-
-// unum appends an unsigned integer.
-func (j *jsonWriter) unum(n uint64) { j.buf = strconv.AppendUint(j.buf, n, 10) }
-
-// float appends a float64 as encoding/json does.
-func (j *jsonWriter) float(f float64) { j.buf = appendFloat(j.buf, f) }
-
-// micros appends n nanoseconds as the float microseconds encoding/json
-// writes for float64(n)/1e3.
-func (j *jsonWriter) micros(n int64) { j.buf = appendUs(j.buf, n) }
-
-// kind appends k's name as a JSON string.
-func (j *jsonWriter) kind(k Kind) {
+// appendKind appends k's name as a JSON string.
+func appendKind(b []byte, k Kind) []byte {
 	if k < NumKinds {
-		j.lit(kindJSON[k])
-		return
+		return append(b, kindJSON[k]...)
 	}
-	j.str(k.String())
+	return appendString(b, k.String())
 }
 
 // kindJSON holds each defined kind's name quoted as a JSON string.
