@@ -9,11 +9,13 @@ package emeralds_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"emeralds/internal/attrib"
 	"emeralds/internal/costmodel"
 	"emeralds/internal/experiments"
 	"emeralds/internal/ipc"
@@ -26,6 +28,7 @@ import (
 	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/vtime"
+	"emeralds/internal/workload"
 )
 
 // --- Table 1: scheduler queue-operation overheads ----------------------
@@ -255,6 +258,46 @@ func BenchmarkSamplerOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkTracedUnit is one unit of perfbench's emsim-traced workload,
+// `emsim -n 30 -u 0.7 -ms 2000 -trace-out -attrib -telemetry` at seed 1:
+// boot and a 2 s run of the 30-task U = 0.7 set under csd with a
+// 1<<20-event trace ring and a 512-sample flight recorder, the Perfetto
+// export, the attribution replay and its report, and the recorder's
+// analysis. The per-layer benchmarks each run on a quiet heap; this one
+// runs the layers on one heap, so its ns/op and B/op include what the
+// garbage collector costs the whole unit.
+func BenchmarkTracedUnit(b *testing.B) {
+	const horizon = 2000 * vtime.Millisecond
+	specs := workload.Generate(workload.Config{N: 30, Utilization: 0.7, PeriodDiv: 1, Seed: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var rec *telemetry.Recorder
+		sys, err := kernel.Boot(sim.Config{CPUs: 1, Lock: "percpu", Policy: sim.PolicyCSD, Queues: 3,
+			RecordResponses: true, TraceCapacity: 1 << 20}, func(n *kernel.Node) error {
+			for _, s := range specs {
+				n.AddTask(s)
+			}
+			var err error
+			rec, err = telemetry.Attach(n.Kernel(), telemetry.Config{Interval: horizon / 512, Capacity: 512})
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Run(horizon)
+		log := sys.Trace()
+		if err := log.ExportPerfetto(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		telemetry.Analyze(rec.Series(), telemetry.SLO{})
+		an, err := attrib.Analyze(log.Events(), log.Dropped())
+		if err != nil {
+			b.Fatal(err)
+		}
+		an.Report()
+	}
 }
 
 // BenchmarkMigrationOp prices one predictable migration: a task bounced

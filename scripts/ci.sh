@@ -148,9 +148,13 @@ echo "== allocation smoke gate =="
 # allocations must not grow with the event count, a telemetry tick into
 # a full ring, and the attribution replay, which allocates fewer than
 # once per 50 events.
+# Two byte gates ride along (AllocationBytes): recording into the trace
+# ring allocates only the 32 kB blocks it fills and their table, and the
+# attribution replay of the emsim trace allocates under 200 bytes per
+# event, which a slab of pointer-laden intervals would exceed.
 # A steady-state allocation anywhere on these paths fails here before it
 # can show up as a bench regression.
-go test -run 'ZeroAlloc|AllocationFree' \
+go test -run 'ZeroAlloc|AllocationFree|AllocationBytes' \
     ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/ \
     ./internal/trace/ ./internal/telemetry/ ./internal/attrib/
 
