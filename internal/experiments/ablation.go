@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"emeralds/internal/costmodel"
@@ -11,7 +10,6 @@ import (
 	"emeralds/internal/metrics"
 	"emeralds/internal/sched"
 	"emeralds/internal/sim"
-	"emeralds/internal/stats"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -30,12 +28,13 @@ type SemAblationPoint struct {
 	Full            vtime.Duration `json:"full_us"`             // the complete §6.2 scheme
 }
 
-// semAblationJob pairs one point with its observability record, as in
-// SemOverheadCurveDiag.
-type semAblationJob struct {
-	point SemAblationPoint
-	met   *metrics.Set
-	block map[string]*stats.Histogram
+// semAblationBuilds are the four builds the ablation decomposes the
+// saving over.
+var semAblationBuilds = []semBuild{
+	{name: "standard"},
+	{name: "hint-only", optimized: true, disablePlaceholder: true},
+	{name: "placeholder-only", optimized: true, disableHints: true},
+	{name: "full", optimized: true},
 }
 
 // SemAblationDiag measures the four builds on the Figure 6 scenario,
@@ -44,65 +43,16 @@ type semAblationJob struct {
 // blocking-time histograms keyed by kind and build ("dp/hint-only/T2"),
 // folded in job order so the result is worker-count independent.
 func SemAblationDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemAblationPoint, *metrics.Diagnostics) {
-	builds := []struct {
-		name                                        string
-		optimized, disableHints, disablePlaceholder bool
-	}{
-		{"standard", false, false, false},
-		{"hint-only", true, false, true},
-		{"placeholder-only", true, true, false},
-		{"full", true, false, false},
-	}
-	jobs := parRun(par, "sem-ablation-"+string(kind), 0, len(lens),
-		func(j harness.Job) (semAblationJob, error) {
-			l := lens[j.Index]
-			out := semAblationJob{met: &metrics.Set{}, block: map[string]*stats.Histogram{}}
-			overheads := make([]vtime.Duration, len(builds))
-			for bi, b := range builds {
-				d, k := semScenarioRun(kind, l, b.optimized, b.disableHints, b.disablePlaceholder, prof, true)
-				overheads[bi] = d
-				out.met.Merge(k.Metrics())
-				for _, th := range k.Threads() {
-					if h := th.Blocking(); h != nil && h.Count() > 0 {
-						key := string(kind) + "/" + b.name + "/" + th.Name()
-						if out.block[key] == nil {
-							out.block[key] = &stats.Histogram{}
-						}
-						out.block[key].Merge(h)
-					}
-				}
-			}
-			out.point = SemAblationPoint{
-				QueueLen:        l,
-				Standard:        overheads[0],
-				HintOnly:        overheads[1],
-				PlaceholderOnly: overheads[2],
-				Full:            overheads[3],
-			}
-			return out, nil
-		})
-
-	pts := make([]SemAblationPoint, len(jobs))
-	met := &metrics.Set{}
-	block := map[string]*stats.Histogram{}
-	for i, j := range jobs { // job order: deterministic merge
-		pts[i] = j.point
-		met.Merge(j.met)
-		for name, h := range j.block {
-			if block[name] == nil {
-				block[name] = &stats.Histogram{}
-			}
-			block[name].Merge(h)
+	overheads, d := semBuildsDiag("sem-ablation-"+string(kind), kind, lens, semAblationBuilds, prof, par)
+	pts := make([]SemAblationPoint, len(lens))
+	for i, o := range overheads {
+		pts[i] = SemAblationPoint{
+			QueueLen:        lens[i],
+			Standard:        o[0],
+			HintOnly:        o[1],
+			PlaceholderOnly: o[2],
+			Full:            o[3],
 		}
-	}
-	d := &metrics.Diagnostics{Counters: met.Snapshot()}
-	names := make([]string, 0, len(block))
-	for name := range block {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d.Tasks = append(d.Tasks, metrics.Summarize(name, "blocking", block[name]))
 	}
 	return pts, d
 }

@@ -11,9 +11,6 @@ import (
 	"emeralds/internal/workload"
 )
 
-// workloadSpec keeps breakdownFor signatures compact.
-type workloadSpec = task.Spec
-
 // This file regenerates Figures 3–5 (§5.7): average breakdown
 // utilization versus number of tasks, for RM, EDF, CSD-2, CSD-3 and
 // CSD-4, at three period scalings (base, ÷2, ÷3). The paper averages
@@ -109,16 +106,12 @@ func BreakdownFigure(cfg BreakdownConfig) *BreakdownResult {
 	return res
 }
 
-func breakdownFor(p *costmodel.Profile, name string, specs []workloadSpec) float64 {
+func breakdownFor(p *costmodel.Profile, name string, specs []task.Spec) float64 {
 	switch name {
 	case "EDF":
 		return analysis.BreakdownEDF(p, specs)
 	case "RM":
 		return analysis.BreakdownRM(p, specs)
-	case "RM-heap":
-		return analysis.Breakdown(specs, func(s []workloadSpec) bool {
-			return analysis.FeasibleRMHeap(p, s)
-		})
 	case "CSD-2":
 		return analysis.BreakdownCSD(p, specs, 2)
 	case "CSD-3":

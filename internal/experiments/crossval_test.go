@@ -6,7 +6,7 @@ import (
 
 	"emeralds/internal/analysis"
 	"emeralds/internal/costmodel"
-	"emeralds/internal/sched"
+	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -40,9 +40,11 @@ func randomHarmonicSet(rng *rand.Rand, n int, u float64) []task.Spec {
 	return specs
 }
 
-func simulateMisses(t *testing.T, prof *costmodel.Profile, pol sched.Scheduler, specs []task.Spec, horizon vtime.Duration) uint64 {
-	t.Helper()
-	return SimulateMisses(prof, pol, specs, horizon)
+// nodeCfg is the node a cross-validation run boots: the named policy
+// with the standard semaphore scheme and no parser pass, as
+// SimBreakdown builds it.
+func nodeCfg(prof *costmodel.Profile, policy string) sim.Config {
+	return sim.Config{Policy: policy, Profile: prof, StandardSem: true, NoParser: true}
 }
 
 // TestAnalysisSoundIdeal: with zero overhead the analyses are exact
@@ -61,12 +63,12 @@ func TestAnalysisSoundIdeal(t *testing.T) {
 
 		if analysis.FeasibleEDF(zero, specs) {
 			accepted++
-			if m := simulateMisses(t, zero, sched.NewEDF(zero), specs, horizon); m != 0 {
+			if m := SimulateMisses(nodeCfg(zero, sim.PolicyEDF), specs, horizon); m != 0 {
 				t.Errorf("trial %d: EDF accepted but missed %d (n=%d U=%.3f)", trial, m, n, u)
 			}
 		}
 		if analysis.FeasibleRM(zero, specs) {
-			if m := simulateMisses(t, zero, sched.NewRM(zero), specs, horizon); m != 0 {
+			if m := SimulateMisses(nodeCfg(zero, sim.PolicyRM), specs, horizon); m != 0 {
 				t.Errorf("trial %d: RM accepted but missed %d (n=%d U=%.3f)", trial, m, n, u)
 			}
 		}
@@ -75,8 +77,9 @@ func TestAnalysisSoundIdeal(t *testing.T) {
 			if !ok {
 				continue
 			}
-			pol := sched.NewCSD(zero, part)
-			if m := simulateMisses(t, zero, pol, rmSorted, horizon); m != 0 {
+			cfg := nodeCfg(zero, sim.PolicyCSD)
+			cfg.DPSizes = part.DPSizes
+			if m := SimulateMisses(cfg, rmSorted, horizon); m != 0 {
 				t.Errorf("trial %d: CSD-%d%v accepted but missed %d (n=%d U=%.3f)",
 					trial, queues, part.DPSizes, m, n, u)
 			}
@@ -106,7 +109,7 @@ func TestAnalysisSoundWithOverhead(t *testing.T) {
 		}
 		base := task.TotalUtilization(specs)
 		scaled := task.Scale(specs, 0.9*bu/base)
-		if m := simulateMisses(t, prof, sched.NewEDF(prof), scaled, horizon); m != 0 {
+		if m := SimulateMisses(nodeCfg(prof, sim.PolicyEDF), scaled, horizon); m != 0 {
 			t.Errorf("trial %d: EDF at 0.9×breakdown missed %d (n=%d bu=%.3f)", trial, m, n, bu)
 		}
 	}
@@ -124,7 +127,7 @@ func TestAnalysisTightIdeal(t *testing.T) {
 	if analysis.FeasibleEDF(zero, specs) {
 		t.Error("U>1 accepted")
 	}
-	if m := simulateMisses(t, zero, sched.NewEDF(zero), specs, 200*vtime.Millisecond); m == 0 {
+	if m := SimulateMisses(nodeCfg(zero, sim.PolicyEDF), specs, 200*vtime.Millisecond); m == 0 {
 		t.Error("overloaded set simulated cleanly?!")
 	}
 }

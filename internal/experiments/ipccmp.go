@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"emeralds/internal/costmodel"
@@ -10,7 +9,6 @@ import (
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sim"
-	"emeralds/internal/stats"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -61,58 +59,35 @@ func (p IPCPoint) SpeedupX() float64 {
 	return float64(p.MailboxPerMsg) / float64(p.StatePerMsg)
 }
 
-// ipcJob is one grid point's result plus its observability record.
-type ipcJob struct {
-	point IPCPoint
-	met   *metrics.Set
-	hists map[string]*stats.Histogram // "state/producer" → response times
-}
-
 // IPCComparisonDiag sweeps payload sizes and reader counts, one
 // harness job per (readers, size) grid point; each job runs its four
 // deterministic scenarios (state, mailbox, vlink, baseline) back to
 // back. It also returns the merged diagnostics block: kernel counters
-// summed over every scenario kernel of every job (metrics.Set.Merge),
-// and per-task response histograms folded across jobs with
-// stats.Histogram.Merge — the merge happens in job order on the
-// harness's job-indexed results, so the block is identical for any
-// worker count. Task names are qualified by scenario
+// summed over every scenario kernel of every job, and per-task response
+// histograms folded across jobs in job order, so the block is identical
+// for any worker count. Task names are qualified by scenario
 // ("state/producer", "mailbox/consumer0") since the same task runs
-// under each IPC mechanism.
+// under each IPC mechanism; the baseline adds its counters only.
 func IPCComparisonDiag(sizes, readers []int, prof *costmodel.Profile, par Par) ([]IPCPoint, *metrics.Diagnostics) {
 	if prof == nil {
 		prof = m68040
 	}
+	c := diagCollector{hist: (*kernel.Thread).Responses, metric: "response"}
 	jobs := parRun(par, "ipc", 0, len(readers)*len(sizes),
-		func(j harness.Job) (ipcJob, error) {
+		func(j harness.Job) (diagJob[IPCPoint], error) {
 			r := readers[j.Index/len(sizes)]
 			sz := sizes[j.Index%len(sizes)]
-			out := ipcJob{met: &metrics.Set{}, hists: map[string]*stats.Histogram{}}
-			collect := func(mode string, k *kernel.Kernel) {
-				out.met.Merge(k.Metrics())
-				if mode == "none" {
-					return
-				}
-				for _, th := range k.Threads() {
-					if h := th.Responses(); h != nil && h.Count() > 0 {
-						key := mode + "/" + th.Name()
-						if out.hists[key] == nil {
-							out.hists[key] = &stats.Histogram{}
-						}
-						out.hists[key].Merge(h)
-					}
-				}
-			}
+			var out diagJob[IPCPoint]
 			so, ss, sk := ipcScenario("state", sz, r, prof)
-			collect("state", sk)
+			c.add(&out.diagShare, "state", sk)
 			mo, ms, mk := ipcScenario("mailbox", sz, r, prof)
-			collect("mailbox", mk)
+			c.add(&out.diagShare, "mailbox", mk)
 			vo, vs, vk := ipcScenario("vlink", sz, r, prof)
-			collect("vlink", vk)
+			c.add(&out.diagShare, "vlink", vk)
 			bo, bs, bk := ipcScenario("none", sz, r, prof)
-			collect("none", bk)
+			out.met.Merge(bk.Metrics())
 			msgs := ipcMessages(r)
-			out.point = IPCPoint{
+			out.val = IPCPoint{
 				Size:                  sz,
 				Readers:               r,
 				StatePerMsg:           (so - bo) / vtime.Duration(msgs),
@@ -124,30 +99,7 @@ func IPCComparisonDiag(sizes, readers []int, prof *costmodel.Profile, par Par) (
 			}
 			return out, nil
 		})
-
-	pts := make([]IPCPoint, len(jobs))
-	met := &metrics.Set{}
-	hists := map[string]*stats.Histogram{}
-	for i, j := range jobs { // job order: deterministic merge
-		pts[i] = j.point
-		met.Merge(j.met)
-		for name, h := range j.hists {
-			if hists[name] == nil {
-				hists[name] = &stats.Histogram{}
-			}
-			hists[name].Merge(h)
-		}
-	}
-	d := &metrics.Diagnostics{Counters: met.Snapshot()}
-	names := make([]string, 0, len(hists))
-	for name := range hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d.Tasks = append(d.Tasks, metrics.Summarize(name, "response", hists[name]))
-	}
-	return pts, d
+	return fold(c, jobs)
 }
 
 const (

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"emeralds/internal/costmodel"
@@ -15,7 +14,6 @@ import (
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sim"
-	"emeralds/internal/stats"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -65,13 +63,17 @@ func (p SemPoint) SavingPct() float64 {
 	return 100 * float64(p.Standard-p.Optimized) / float64(p.Standard)
 }
 
-// semJob pairs one queue-length measurement with its observability
-// record (counters over both scheme kernels, T2's blocking times per
-// scheme).
-type semJob struct {
-	point SemPoint
-	met   *metrics.Set
-	block map[string]*stats.Histogram
+// semBuild is one semaphore build of the Figure 6 scenario: the §6.1
+// standard scheme, or the §6.2 optimized one with either half ablated.
+type semBuild struct {
+	name                                        string
+	optimized, disableHints, disablePlaceholder bool
+}
+
+// semSchemes are the two builds Figures 11 and 12 compare.
+var semSchemes = []semBuild{
+	{name: "standard"},
+	{name: "optimized", optimized: true},
 }
 
 // SemOverheadCurveDiag measures the acquire/release pair overhead at
@@ -81,64 +83,42 @@ type semJob struct {
 // diagnostics block: counters summed over every scenario kernel
 // (standard and optimized) and the waiter T2's semaphore blocking-time
 // histograms, keyed by queue kind and scheme ("dp/standard/T2") and
-// folded across jobs with stats.Histogram.Merge in job order —
-// identical for any harness worker count.
+// folded across jobs in job order — identical for any harness worker
+// count.
 func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemPoint, *metrics.Diagnostics) {
-	jobs := parRun(par, "sem-"+string(kind), 0, len(lens),
-		func(j harness.Job) (semJob, error) {
-			l := lens[j.Index]
-			out := semJob{met: &metrics.Set{}, block: map[string]*stats.Histogram{}}
-			collect := func(scheme string, k *kernel.Kernel) {
-				scheme = string(kind) + "/" + scheme
-				out.met.Merge(k.Metrics())
-				for _, th := range k.Threads() {
-					if h := th.Blocking(); h != nil && h.Count() > 0 {
-						key := scheme + "/" + th.Name()
-						if out.block[key] == nil {
-							out.block[key] = &stats.Histogram{}
-						}
-						out.block[key].Merge(h)
-					}
-				}
-			}
-			std, sk := semScenarioRun(kind, l, false, false, false, prof, true)
-			collect("standard", sk)
-			opt, ok := semScenarioRun(kind, l, true, false, false, prof, true)
-			collect("optimized", ok)
-			out.point = SemPoint{QueueLen: l, Standard: std, Optimized: opt}
-			return out, nil
-		})
-
-	pts := make([]SemPoint, len(jobs))
-	met := &metrics.Set{}
-	block := map[string]*stats.Histogram{}
-	for i, j := range jobs { // job order: deterministic merge
-		pts[i] = j.point
-		met.Merge(j.met)
-		for name, h := range j.block {
-			if block[name] == nil {
-				block[name] = &stats.Histogram{}
-			}
-			block[name].Merge(h)
-		}
-	}
-	d := &metrics.Diagnostics{Counters: met.Snapshot()}
-	names := make([]string, 0, len(block))
-	for name := range block {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d.Tasks = append(d.Tasks, metrics.Summarize(name, "blocking", block[name]))
+	overheads, d := semBuildsDiag("sem-"+string(kind), kind, lens, semSchemes, prof, par)
+	pts := make([]SemPoint, len(lens))
+	for i, o := range overheads {
+		pts[i] = SemPoint{QueueLen: lens[i], Standard: o[0], Optimized: o[1]}
 	}
 	return pts, d
+}
+
+// semBuildsDiag runs the Figure 6 scenario under every build at each
+// queue length, one harness job per length, and returns each length's
+// overheads in build order with the diagnostics block of all the runs,
+// T2's blocking histograms keyed "kind/build/T2".
+func semBuildsDiag(label string, kind SemQueueKind, lens []int, builds []semBuild, prof *costmodel.Profile, par Par) ([][]vtime.Duration, *metrics.Diagnostics) {
+	c := diagCollector{hist: (*kernel.Thread).Blocking, metric: "blocking"}
+	jobs := parRun(par, label, 0, len(lens),
+		func(j harness.Job) (diagJob[[]vtime.Duration], error) {
+			var out diagJob[[]vtime.Duration]
+			out.val = make([]vtime.Duration, len(builds))
+			for bi, b := range builds {
+				d, k := semScenarioRun(kind, lens[j.Index], b, prof, true)
+				out.val[bi] = d
+				c.add(&out.diagShare, string(kind)+"/"+b.name, k)
+			}
+			return out, nil
+		})
+	return fold(c, jobs)
 }
 
 // SemScenario runs one Figure 6 scenario with the scheduler queue
 // padded to queueLen tasks and returns the overhead charged between
 // event E and the completion of T₂'s critical section.
 func SemScenario(kind SemQueueKind, queueLen int, optimized bool, prof *costmodel.Profile) vtime.Duration {
-	d, _ := semScenarioRun(kind, queueLen, optimized, false, false, prof, false)
+	d, _ := semScenarioRun(kind, queueLen, semBuild{optimized: optimized}, prof, false)
 	return d
 }
 
@@ -146,7 +126,7 @@ func SemScenario(kind SemQueueKind, queueLen int, optimized bool, prof *costmode
 // so callers can harvest counters and blocking histograms. record
 // enables response/blocking histograms — only the Diag path reads
 // them, and histogram pairs dominate the plain path's allocations.
-func semScenarioRun(kind SemQueueKind, queueLen int, optimized, disableHints, disablePlaceholder bool, prof *costmodel.Profile, record bool) (vtime.Duration, *kernel.Kernel) {
+func semScenarioRun(kind SemQueueKind, queueLen int, b semBuild, prof *costmodel.Profile, record bool) (vtime.Duration, *kernel.Kernel) {
 	if prof == nil {
 		prof = m68040
 	}
@@ -157,9 +137,9 @@ func semScenarioRun(kind SemQueueKind, queueLen int, optimized, disableHints, di
 	n := kernel.NewNode(sim.Config{
 		Profile:            prof,
 		Policy:             policy,
-		StandardSem:        !optimized,
-		DisableHints:       disableHints,
-		DisablePlaceholder: disablePlaceholder,
+		StandardSem:        !b.optimized,
+		DisableHints:       b.disableHints,
+		DisablePlaceholder: b.disablePlaceholder,
 		RecordResponses:    record,
 		NoParser:           true,
 	})
@@ -251,7 +231,7 @@ func semScenarioRun(kind SemQueueKind, queueLen int, optimized, disableHints, di
 	}
 	n.Run(40 * vtime.Millisecond)
 	if !done {
-		panic(fmt.Sprintf("experiments: sem scenario did not complete (kind=%s len=%d opt=%v)", kind, queueLen, optimized))
+		panic(fmt.Sprintf("experiments: sem scenario did not complete (kind=%s len=%d build=%+v)", kind, queueLen, b))
 	}
 	return endMark - startMark, k
 }

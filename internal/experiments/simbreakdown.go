@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"emeralds/internal/analysis"
 	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/kernel"
-	"emeralds/internal/sched"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
@@ -23,15 +20,11 @@ import (
 // system calls, so the simulated breakdown sits at or slightly below
 // the analytic one.
 
-// SimulateMisses boots the workload under the policy and returns the
+// SimulateMisses boots the workload on a node built from cfg — the
+// policy by name, plus Queues or DPSizes for CSD — and returns the
 // deadline-miss count over the horizon.
-func SimulateMisses(prof *costmodel.Profile, pol sched.Scheduler, specs []task.Spec, horizon vtime.Duration) uint64 {
-	k, err := kernel.Boot(sim.Config{
-		Profile:     prof,
-		StandardSem: true,
-		NoParser:    true,
-	}, func(n *kernel.Node) error {
-		n.OverrideScheduler(pol)
+func SimulateMisses(cfg sim.Config, specs []task.Spec, horizon vtime.Duration) uint64 {
+	k, err := kernel.Boot(cfg, func(n *kernel.Node) error {
 		for _, s := range specs {
 			n.AddTask(s)
 		}
@@ -45,27 +38,19 @@ func SimulateMisses(prof *costmodel.Profile, pol sched.Scheduler, specs []task.S
 }
 
 // SimBreakdown bisects the execution-time scale like
-// analysis.Breakdown, with simulation deciding feasibility. The horizon
-// should cover several hyperperiods of the workload; a finite horizon
-// makes the result an upper bound (a miss may hide beyond it), which is
-// why validation pairs it with the conservative analytic result.
+// analysis.Breakdown, with simulation under the named policy (a
+// sim.Policy* name) deciding feasibility. The horizon should cover
+// several hyperperiods of the workload; a finite horizon makes the
+// result an upper bound (a miss may hide beyond it), which is why
+// validation pairs it with the conservative analytic result.
 func SimBreakdown(prof *costmodel.Profile, specs []task.Spec, policy string, horizon vtime.Duration) float64 {
 	if prof == nil {
 		prof = m68040
 	}
-	mk := func() sched.Scheduler {
-		switch policy {
-		case "EDF":
-			return sched.NewEDF(prof)
-		case "RM":
-			return sched.NewRM(prof)
-		default:
-			panic(fmt.Sprintf("experiments: SimBreakdown does not support %q", policy))
-		}
-	}
+	cfg := sim.Config{Policy: policy, Profile: prof, StandardSem: true, NoParser: true}
 	rmSorted := analysis.SortRM(specs)
 	return analysis.Breakdown(rmSorted, func(s []task.Spec) bool {
-		return SimulateMisses(prof, mk(), s, horizon) == 0
+		return SimulateMisses(cfg, s, horizon) == 0
 	})
 }
 
@@ -82,8 +67,8 @@ func CompareBreakdowns(prof *costmodel.Profile, specs []task.Spec, horizon vtime
 		prof = m68040
 	}
 	return []SimVsAnalytic{
-		{"EDF", analysis.BreakdownEDF(prof, specs), SimBreakdown(prof, specs, "EDF", horizon)},
-		{"RM", analysis.BreakdownRM(prof, specs), SimBreakdown(prof, specs, "RM", horizon)},
+		{"EDF", analysis.BreakdownEDF(prof, specs), SimBreakdown(prof, specs, sim.PolicyEDF, horizon)},
+		{"RM", analysis.BreakdownRM(prof, specs), SimBreakdown(prof, specs, sim.PolicyRM, horizon)},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emeralds/internal/metrics"
+	"emeralds/internal/trace"
 )
 
 // Task migration (multicore kernels only).
@@ -74,12 +75,12 @@ func (k *Kernel) doMigrate(th *Thread, target int) {
 	if src.current == th {
 		// The migration ends th's occupancy on this CPU; close it like a
 		// preemption so replay can partition the span.
-		k.trAddDur(traceKindMigrate, tcb.Name, fmt.Sprintf("to=cpu%d", target), src.ovAcc)
+		k.trAddDur(trace.Migrate, tcb.Name, fmt.Sprintf("to=cpu%d", target), src.ovAcc)
 		src.ovAcc = 0
 		src.noteIdle(k.eng.Now())
 		src.current = nil
 	} else {
-		k.trAdd(traceKindMigrate, tcb.Name, fmt.Sprintf("to=cpu%d", target))
+		k.trAdd(trace.Migrate, tcb.Name, fmt.Sprintf("to=cpu%d", target))
 	}
 	detach := k.sched(tcb).Detach(tcb)
 	k.lockRunq(tcb.CPU, detach)
@@ -108,7 +109,7 @@ func (k *Kernel) migrateArrive(th *Thread, tgt *cpu, from int) {
 	attach := tgt.sch.Attach(tcb)
 	k.lockRunq(tgt.id, attach)
 	k.charge(attach, &k.stats.SchedCharge)
-	k.trAdd(traceKindMigrateDone, tcb.Name, fmt.Sprintf("from=cpu%d", from))
+	k.trAdd(trace.MigrateDone, tcb.Name, fmt.Sprintf("from=cpu%d", from))
 	k.reschedule()
 }
 

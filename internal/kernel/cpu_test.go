@@ -194,6 +194,29 @@ func TestMigrateArgumentErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedBootKeepsPlacement: a second Boot is refused before it
+// places the tasks, so a task that migrated stays stamped with the CPU
+// whose queues hold it.
+func TestRefusedBootKeepsPlacement(t *testing.T) {
+	n, k := newMulticore(2, LockPerCPU)
+	a := k.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, Affinity: 1,
+		Prog: task.Program{task.Compute(vtime.Millisecond)}})
+	boot(t, n)
+	if err := k.Migrate(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	k.Run(20 * vtime.Millisecond)
+	if a.TCB.CPU != 1 {
+		t.Fatalf("a on cpu%d after migrating to cpu1", a.TCB.CPU)
+	}
+	if err := n.Boot(); err == nil {
+		t.Fatal("second Boot succeeded")
+	}
+	if a.TCB.CPU != 1 {
+		t.Errorf("refused Boot moved a to cpu%d", a.TCB.CPU)
+	}
+}
+
 // TestLockRegimeOrdering runs one contended 2-CPU scenario under the
 // three lock regimes and checks the charged lock time is ordered
 // big ≥ per-queue ≥ per-CPU (= 0), while the workload outcome (job

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
@@ -21,7 +22,7 @@ func (k *Kernel) doDelay(th *Thread, op task.Op) {
 	gen := th.delayGen
 	th.TCB.State = task.Blocked
 	k.blockTask(th.TCB)
-	k.traceOccupancyEnd(th, traceKindBlock, "delay")
+	k.traceOccupancyEnd(th, trace.BlockEv, "delay")
 	k.eng.After(op.Dur, "delay:"+th.TCB.Name, func() {
 		k.exec = k.cpuOf(th)
 		// The job may have been killed or superseded meanwhile.
@@ -62,10 +63,10 @@ func (k *Kernel) Suspend(th *Thread) {
 			// occupancy) before the ready→blocked transition, so trace
 			// replay sees the events in causal order.
 			k.reschedule()
-			k.trAdd(traceKindBlock, th.TCB.Name, "suspend")
+			k.trAdd(trace.BlockEv, th.TCB.Name, "suspend")
 			return
 		}
-		k.traceOccupancyEnd(th, traceKindBlock, "suspend")
+		k.traceOccupancyEnd(th, trace.BlockEv, "suspend")
 		k.reschedule()
 	}
 }
@@ -85,7 +86,7 @@ func (k *Kernel) Resume(th *Thread) {
 	if resumable && th.jobActive && th.TCB.State == task.Blocked && th.waitingSem == nil && th.reacquire == nil {
 		th.TCB.State = task.Ready
 		k.unblockTask(th.TCB)
-		k.trAdd(traceKindUnblock, th.TCB.Name, "resume")
+		k.trAdd(trace.UnblockEv, th.TCB.Name, "resume")
 		k.reschedule()
 	}
 }

@@ -221,7 +221,7 @@ func (k *Kernel) preemptSegment(detail string) bool {
 	c.seg = nil
 	// A preemption always ends the occupancy: attach its consumed
 	// overhead so replay can partition the span exactly.
-	k.trAddDur(traceKindPreempt, s.th.TCB.Name, detail, c.ovAcc)
+	k.trAddDur(trace.Preempt, s.th.TCB.Name, detail, c.ovAcc)
 	c.ovAcc = 0
 	return finished
 }
@@ -305,13 +305,13 @@ func (k *Kernel) resched() {
 		// preemption would, so emit the Preempt with the consumed
 		// overhead attached — otherwise replay cannot close the span
 		// and the leftover ovAcc would pollute the next occupancy.
-		k.trAddDur(traceKindPreempt, curTCB.Name, k.preemptDetail(next), c.ovAcc)
+		k.trAddDur(trace.Preempt, curTCB.Name, k.preemptDetail(next), c.ovAcc)
 		c.ovAcc = 0
 	}
 	if next == nil {
 		c.noteIdle(k.eng.Now())
 		c.current = nil
-		k.trAdd(traceKindIdle, "-", "")
+		k.trAdd(trace.Idle, "-", "")
 		return
 	}
 	c.met.Inc(metrics.Dispatches)
@@ -321,7 +321,7 @@ func (k *Kernel) resched() {
 	k.charge(k.prof.ContextSwitch, &k.stats.SwitchCharge)
 	c.noteBusy(k.eng.Now())
 	c.current = k.thOf(next)
-	k.trAdd(traceKindDispatch, next.Name, "")
+	k.trAdd(trace.Dispatch, next.Name, "")
 	k.continueThread(c.current)
 }
 
@@ -502,9 +502,9 @@ func (k *Kernel) completeJob(th *Thread) {
 	if now.After(tcb.AbsDeadline) {
 		tcb.Misses++
 		k.exec.met.Inc(metrics.DeadlineMisses)
-		k.trAddDur(traceKindMiss, tcb.Name, "", k.exec.ovAcc)
+		k.trAddDur(trace.Miss, tcb.Name, "", k.exec.ovAcc)
 	} else {
-		k.trAddDur(traceKindComplete, tcb.Name, "", k.exec.ovAcc)
+		k.trAddDur(trace.Complete, tcb.Name, "", k.exec.ovAcc)
 	}
 	k.exec.ovAcc = 0
 	th.migrateTo = -1
@@ -530,7 +530,7 @@ func (k *Kernel) onRelease(th *Thread) {
 		th.TCB.Misses++
 		k.exec.met.Inc(metrics.Overruns)
 		k.exec.met.Inc(metrics.DeadlineMisses)
-		k.trAdd(traceKindOverrun, th.TCB.Name, "suspended")
+		k.trAdd(trace.Overrun, th.TCB.Name, "suspended")
 		return
 	}
 	if th.jobActive {
@@ -540,7 +540,7 @@ func (k *Kernel) onRelease(th *Thread) {
 		th.TCB.Misses++ // the lost job can never meet its deadline
 		k.exec.met.Inc(metrics.Overruns)
 		k.exec.met.Inc(metrics.DeadlineMisses)
-		k.trAdd(traceKindOverrun, th.TCB.Name, "")
+		k.trAdd(trace.Overrun, th.TCB.Name, "")
 		return
 	}
 	k.startJob(th)
@@ -575,6 +575,6 @@ func (k *Kernel) startJob(th *Thread) {
 	th.jobActive = true
 	tcb.State = task.Ready
 	k.unblockTask(tcb)
-	k.trAdd(traceKindRelease, tcb.Name, "")
+	k.trAdd(trace.Release, tcb.Name, "")
 	k.reschedule()
 }

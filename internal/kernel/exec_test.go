@@ -225,14 +225,16 @@ func TestDeterministicTraces(t *testing.T) {
 
 func TestBootErrors(t *testing.T) {
 	_, k := newNode(sim.Config{})
-	if err := k.boot(); err == nil {
+	k.AddTask(task.Spec{Period: vtime.Millisecond, WCET: 100 * vtime.Microsecond})
+	perCPU := sched.AssignCPUs([]*task.TCB{k.Threads()[0].TCB}, 1)
+	if err := k.boot(nil, perCPU); err == nil {
 		t.Error("boot without scheduler succeeded")
 	}
-	k.setSchedulers(sched.NewEDF(k.Profile()))
-	if err := k.boot(); err != nil {
+	ss := []sched.Scheduler{sched.NewEDF(k.Profile())}
+	if err := k.boot(ss, perCPU); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.boot(); err == nil {
+	if err := k.boot(ss, perCPU); err == nil {
 		t.Error("double boot succeeded")
 	}
 }

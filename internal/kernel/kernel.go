@@ -14,6 +14,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"emeralds/internal/costmodel"
@@ -583,96 +584,30 @@ func (k *Kernel) AddTaskIn(proc int, spec task.Spec) *Thread {
 	return th
 }
 
-// setSchedulers binds the policy instances before boot, one per CPU in
-// CPU order.
-func (k *Kernel) setSchedulers(ss ...sched.Scheduler) {
-	if k.booted {
-		panic("kernel: setSchedulers after boot")
-	}
-	for i, s := range ss {
-		if i < len(k.cpus) {
-			k.cpus[i].sch = s
-		}
-	}
-}
+// errBooted refuses a second boot.
+var errBooted = errors.New("kernel: already booted")
 
-// boot assigns priorities, admits every thread to the scheduler and
-// schedules the first periodic releases. For a CSD scheduler the queue
-// partition in the scheduler (chosen by Node.Boot) is applied to the
-// RM-sorted TCBs. On a multicore kernel the task set is first
-// partitioned across CPUs (sched.AssignCPUs, which honors
-// Spec.Affinity) and each CPU's scheduler admits its share with
-// per-CPU priority ranks.
-func (k *Kernel) boot() error {
+// boot binds ss[i] to CPU i, admits perCPU[i] — the placement Node.Boot
+// computed with sched.AssignCPUs, which also stamped each TCB's CPU —
+// to it with per-CPU priority ranks (RM, or DM under
+// Config.DeadlineMonotonic), and schedules the first periodic releases.
+// For a CSD scheduler the queue partition it carries (chosen by
+// Node.Boot) is applied to its CPU's RM-sorted TCBs. The single-CPU
+// kernel is the M = 1 case: one scheduler admitting every task.
+func (k *Kernel) boot(ss []sched.Scheduler, perCPU [][]*task.TCB) error {
 	if k.booted {
-		return fmt.Errorf("kernel: already booted")
+		return errBooted
 	}
-	for _, c := range k.cpus {
-		if c.sch == nil {
+	for i, c := range k.cpus {
+		if i >= len(ss) || ss[i] == nil {
 			return fmt.Errorf("kernel: no scheduler bound on cpu%d", c.id)
 		}
+		c.sch = ss[i]
 	}
 	if k.ramErr != nil {
-		k.booted = false
 		return k.ramErr
 	}
 	k.booted = true
-	tcbs := make([]*task.TCB, len(k.threads))
-	for i, th := range k.threads {
-		tcbs[i] = th.TCB
-	}
-	if len(k.cpus) == 1 {
-		if in, ok := k.cpus[0].sch.(metrics.Instrumented); ok {
-			in.SetMetrics(k.met)
-		}
-		var sorted []*task.TCB
-		if k.dm {
-			sorted = sched.AssignDMPriorities(tcbs)
-		} else {
-			sorted = sched.AssignRMPriorities(tcbs)
-		}
-		if csd, ok := k.cpus[0].sch.(*sched.CSD); ok {
-			if err := csd.Partition().Apply(sorted); err != nil {
-				return err
-			}
-		}
-		for _, th := range k.threads {
-			th.TCB.EffPrio = th.TCB.BasePrio
-		}
-		k.cpus[0].sch.Admit(sorted)
-	} else {
-		if err := k.bootCPUs(tcbs); err != nil {
-			return err
-		}
-	}
-	// Announce every task's static parameters up front so a trace is
-	// self-describing: the attribution engine (package attrib) needs
-	// priorities for inversion detection and deadlines for miss
-	// analysis without access to the Spec structs. The event's CPU
-	// field records the boot-time placement.
-	if k.tr != nil {
-		// Skipped entirely without a trace: the Sprintf per task is
-		// measurable on construction-heavy benchmarks.
-		for _, th := range k.threads {
-			k.tr.AddCPU(k.eng.Now(), traceKindTaskInfo, th.TCB.Name,
-				fmt.Sprintf("prio=%d period=%d deadline=%d",
-					th.TCB.BasePrio, int64(th.TCB.Spec.Period), int64(th.TCB.Spec.RelDeadline())),
-				th.TCB.CPU)
-		}
-	}
-	for _, th := range k.threads {
-		if !th.aperiodic {
-			th.nextRel = vtime.Time(0).Add(th.TCB.Spec.Phase)
-			k.scheduleRelease(th)
-		}
-	}
-	return nil
-}
-
-// bootCPUs is the multicore half of Boot: partition, per-CPU priority
-// ranks, per-CPU admission.
-func (k *Kernel) bootCPUs(tcbs []*task.TCB) error {
-	perCPU := sched.AssignCPUs(tcbs, len(k.cpus))
 	for i, c := range k.cpus {
 		if in, ok := c.sch.(metrics.Instrumented); ok {
 			in.SetMetrics(c.met)
@@ -690,8 +625,26 @@ func (k *Kernel) bootCPUs(tcbs []*task.TCB) error {
 		}
 		c.sch.Admit(sorted)
 	}
+	// Announce every task's static parameters up front so a trace is
+	// self-describing: the attribution engine (package attrib) needs
+	// priorities for inversion detection and deadlines for miss
+	// analysis without access to the Spec structs. The event's CPU
+	// field records the boot-time placement.
+	if k.tr != nil {
+		// Skipped entirely without a trace: the Sprintf per task is
+		// measurable on construction-heavy benchmarks.
+		for _, th := range k.threads {
+			k.tr.AddCPU(k.eng.Now(), trace.TaskInfo, th.TCB.Name,
+				fmt.Sprintf("prio=%d period=%d deadline=%d",
+					th.TCB.BasePrio, int64(th.TCB.Spec.Period), int64(th.TCB.Spec.RelDeadline())),
+				th.TCB.CPU)
+		}
+	}
 	for _, th := range k.threads {
-		th.TCB.EffPrio = th.TCB.BasePrio
+		if !th.aperiodic {
+			th.nextRel = vtime.Time(0).Add(th.TCB.Spec.Phase)
+			k.scheduleRelease(th)
+		}
 	}
 	return nil
 }

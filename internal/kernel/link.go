@@ -50,7 +50,7 @@ type linkKind struct {
 
 var mailboxKind = &linkKind{
 	noun: "mailbox", class: objMbox, sendOp: task.OpSend,
-	sendEv: traceKindMsgSend, recvEv: traceKindMsgRecv,
+	sendEv: trace.MsgSend, recvEv: trace.MsgRecv,
 	sends: metrics.MailboxSends, recvs: metrics.MailboxRecvs,
 	blocks: metrics.MailboxBlocks, drops: metrics.MailboxDrops,
 	opCost: func(p *costmodel.Profile) vtime.Duration { return p.MailboxOp },
@@ -60,7 +60,7 @@ var mailboxKind = &linkKind{
 
 var vlinkKind = &linkKind{
 	noun: "vlink", class: objVLink, sendOp: task.OpVSend, batched: true,
-	sendEv: traceKindVLinkSend, recvEv: traceKindVLinkRecv,
+	sendEv: trace.VLinkSend, recvEv: trace.VLinkRecv,
 	sends: metrics.VLinkSends, recvs: metrics.VLinkRecvs,
 	blocks: metrics.VLinkBlocks, drops: metrics.VLinkDrops,
 	opCost:   func(p *costmodel.Profile) vtime.Duration { return p.VLinkOp },
@@ -189,7 +189,7 @@ func (k *Kernel) park(th *Thread, op task.Op, l *link, wq *ksync.WaitQueue, why 
 	wq.Add(th.TCB)
 	th.TCB.State = task.Blocked
 	k.blockTask(th.TCB)
-	k.traceOccupancyEnd(th, traceKindBlock, l.q.Name+why)
+	k.traceOccupancyEnd(th, trace.BlockEv, l.q.Name+why)
 	k.reschedule()
 }
 
@@ -244,10 +244,10 @@ func (k *Kernel) InjectMessage(id int, val int64, size int) bool {
 	l := linkAt(k.mboxes, mailboxKind.noun, id)
 	if !l.q.Push(ipc.Msg{Val: val, Size: size}) {
 		k.exec.met.Inc(l.drops)
-		k.trAdd(traceKindInterrupt, "isr", l.q.Name+" drop")
+		k.trAdd(trace.Interrupt, "isr", l.q.Name+" drop")
 		return false
 	}
-	k.trAdd(traceKindInterrupt, "isr", l.q.Name)
+	k.trAdd(trace.Interrupt, "isr", l.q.Name)
 	if k.pump(l) {
 		k.reschedule()
 	}

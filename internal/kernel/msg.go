@@ -7,6 +7,7 @@ import (
 	"emeralds/internal/mem"
 	"emeralds/internal/metrics"
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
@@ -45,7 +46,7 @@ func (k *Kernel) doStateWrite(th *Thread, op task.Op) {
 	sm := k.state(op.Obj)
 	sm.Write(op.Val)
 	th.TCB.PC++
-	k.trAdd(traceKindStateWrite, th.TCB.Name, sm.Name)
+	k.trAdd(trace.StateWrite, th.TCB.Name, sm.Name)
 }
 
 func (k *Kernel) doStateRead(th *Thread, op task.Op) {
@@ -54,7 +55,7 @@ func (k *Kernel) doStateRead(th *Thread, op task.Op) {
 		th.msgVal = v
 	}
 	th.TCB.PC++
-	k.trAdd(traceKindStateRead, th.TCB.Name, sm.Name)
+	k.trAdd(trace.StateRead, th.TCB.Name, sm.Name)
 }
 
 // StateWriteISR publishes a state-message value from interrupt context
@@ -63,7 +64,7 @@ func (k *Kernel) StateWriteISR(id int, val int64) {
 	k.exec = k.cpus[0]
 	k.charge(k.prof.StateMsgTransfer(k.state(id).Size()), &k.stats.IPCCharge)
 	k.state(id).Write(val)
-	k.trAdd(traceKindStateWrite, "isr", k.state(id).Name)
+	k.trAdd(trace.StateWrite, "isr", k.state(id).Name)
 }
 
 // --- memory-protected access -----------------------------------------
@@ -83,7 +84,7 @@ func (k *Kernel) doMemOp(th *Thread, op task.Op) {
 		// Protection fault: the job is killed, full memory protection
 		// being the point of multi-threaded processes (§3).
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, err.Error())
+		k.trAdd(trace.Fault, th.TCB.Name, err.Error())
 		k.killJob(th)
 		return
 	}
@@ -104,7 +105,7 @@ func (k *Kernel) killJob(th *Thread) {
 	// Close the occupancy explicitly: without an ending event the
 	// consumed-overhead accumulator would leak into the next task's
 	// occupancy and trace replay would see the victim still running.
-	k.traceOccupancyEnd(th, traceKindBlock, "job-killed")
+	k.traceOccupancyEnd(th, trace.BlockEv, "job-killed")
 	k.reschedule()
 }
 
@@ -128,7 +129,7 @@ func (k *Kernel) doIO(th *Thread, op task.Op) {
 	d := k.device(op.Obj)
 	if d == nil {
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, fmt.Sprintf("no device %d", op.Obj))
+		k.trAdd(trace.Fault, th.TCB.Name, fmt.Sprintf("no device %d", op.Obj))
 		th.TCB.PC++
 		return
 	}
@@ -150,7 +151,7 @@ func (k *Kernel) Raise(vector int) {
 	k.exec = k.cpus[0]
 	k.exec.met.Inc(metrics.Interrupts)
 	k.charge(k.prof.InterruptEntry, &k.stats.TimerCharge)
-	k.trAdd(traceKindInterrupt, "isr", fmt.Sprintf("vector %d", vector))
+	k.trAdd(trace.Interrupt, "isr", fmt.Sprintf("vector %d", vector))
 	if h := k.isrs[vector]; h != nil {
 		h(k)
 	}
@@ -171,13 +172,13 @@ func (k *Kernel) RegisterBusPort(p BusPort) int {
 func (k *Kernel) doBusSend(th *Thread, op task.Op) {
 	if op.Obj < 0 || op.Obj >= len(k.ports) {
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, fmt.Sprintf("no bus port %d", op.Obj))
+		k.trAdd(trace.Fault, th.TCB.Name, fmt.Sprintf("no bus port %d", op.Obj))
 		th.TCB.PC++
 		return
 	}
 	k.ports[op.Obj].Send(op.Val, op.Size)
 	th.TCB.PC++
-	k.trAdd(traceKindMsgSend, th.TCB.Name, k.ports[op.Obj].Name())
+	k.trAdd(trace.MsgSend, th.TCB.Name, k.ports[op.Obj].Name())
 }
 
 // SetAlarm arms a one-shot software timer (Figure 1's "timers / clock

@@ -74,10 +74,10 @@ func (n *Node) Kernel() *Kernel { return n.kern }
 func (n *Node) Config() sim.Config { return n.cfg }
 
 // OverrideScheduler installs caller-built policy instances in place of
-// the Policy-name selection at Boot — the escape hatch for ablations
-// that tweak a scheduler (e.g. CSD with ready counters disabled) or
-// probe loops that hand in a fresh instance per run. Pass one instance
-// for a single-CPU node, or exactly CPUs instances for a multicore one.
+// the Policy-name selection at Boot — the escape hatch for the one
+// ablation whose tweak has no config field (CSD with ready counters
+// disabled). Pass exactly one instance per CPU: one for a single-CPU
+// node, CPUs instances for a multicore one.
 func (n *Node) OverrideScheduler(ss ...sched.Scheduler) { n.override = ss }
 
 // AddTask admits a periodic task (aperiodic when Period is 0), running
@@ -131,123 +131,81 @@ func (n *Node) NewStateMessage(name string, depth, size int) int {
 // NewProcess creates an address space.
 func (n *Node) NewProcess() int { return n.kern.NewProcess() }
 
-// Boot selects the scheduler (running the CSD partition search when
-// needed), binds it — one instance per CPU on a multicore build — and
-// starts the system at virtual time zero.
+// Boot places the tasks on the CPUs once (sched.AssignCPUs, which
+// honors Spec.Affinity), builds one scheduler instance per CPU from the
+// policy name — for CSD over the §5.5.3 partition search on that CPU's
+// periodic tasks — and boots the kernel at virtual time zero with that
+// placement. A single-CPU node is the M = 1 case of the same path.
+// Instances installed by OverrideScheduler replace the policy switch.
 func (n *Node) Boot() error {
-	m := n.kern.NumCPUs()
-	if len(n.override) > 0 {
-		if m > 1 && len(n.override) != m {
-			return fmt.Errorf("kernel: %d scheduler overrides for %d CPUs", len(n.override), m)
-		}
-		n.kern.setSchedulers(n.override...)
-		return n.kern.boot()
+	k := n.kern
+	// Refused before the placement, which would re-stamp every TCB.CPU
+	// of a running system.
+	if k.booted {
+		return errBooted
 	}
-	if m > 1 {
-		return n.bootMulti(m)
+	m := k.NumCPUs()
+	if len(n.override) > 0 && len(n.override) != m {
+		return fmt.Errorf("kernel: %d scheduler overrides for %d CPUs", len(n.override), m)
 	}
-	switch n.cfg.Policy {
-	case sim.PolicyEDF:
-		n.kern.setSchedulers(sched.NewEDF(n.kern.prof))
-	case sim.PolicyRM:
-		n.kern.setSchedulers(sched.NewRM(n.kern.prof))
-	case sim.PolicyRMHeap:
-		n.kern.setSchedulers(sched.NewRMHeap(n.kern.prof))
-	case sim.PolicyFP:
-		n.kern.setSchedulers(sched.NewFP(n.kern.prof))
-	case sim.PolicyCSD:
-		part, err := n.choosePartition(n.periodicSpecs())
-		if err != nil {
-			return err
-		}
-		n.part = part
-		n.kern.setSchedulers(sched.NewCSD(n.kern.prof, part))
-	default:
-		return fmt.Errorf("kernel: unknown policy %q", n.cfg.Policy)
+	tcbs := make([]*task.TCB, len(k.threads))
+	for i, th := range k.threads {
+		tcbs[i] = th.TCB
 	}
-	return n.kern.boot()
-}
-
-// bootMulti binds one scheduler instance per CPU (instances hold queue
-// state and cannot be shared). For CSD the §5.5.3 partition search runs
-// per CPU over that CPU's share of the task set, previewed with the
-// same deterministic sched.AssignCPUs split Boot will use.
-func (n *Node) bootMulti(m int) error {
-	ss := make([]sched.Scheduler, m)
-	switch n.cfg.Policy {
-	case sim.PolicyEDF:
+	perCPU := sched.AssignCPUs(tcbs, m)
+	ss := n.override
+	if len(ss) == 0 {
+		ss = make([]sched.Scheduler, m)
 		for i := range ss {
-			ss[i] = sched.NewEDF(n.kern.prof)
-		}
-	case sim.PolicyRM:
-		for i := range ss {
-			ss[i] = sched.NewRM(n.kern.prof)
-		}
-	case sim.PolicyRMHeap:
-		for i := range ss {
-			ss[i] = sched.NewRMHeap(n.kern.prof)
-		}
-	case sim.PolicyFP:
-		for i := range ss {
-			ss[i] = sched.NewFP(n.kern.prof)
-		}
-	case sim.PolicyCSD:
-		var tcbs []*task.TCB
-		for _, th := range n.kern.Threads() {
-			tcbs = append(tcbs, th.TCB)
-		}
-		perCPU := sched.AssignCPUs(tcbs, m)
-		for i := range ss {
-			var specs []task.Spec
-			for _, t := range perCPU[i] {
-				if t.Spec.Period > 0 {
-					specs = append(specs, t.Spec)
+			switch n.cfg.Policy {
+			case sim.PolicyEDF:
+				ss[i] = sched.NewEDF(k.prof)
+			case sim.PolicyRM:
+				ss[i] = sched.NewRM(k.prof)
+			case sim.PolicyRMHeap:
+				ss[i] = sched.NewRMHeap(k.prof)
+			case sim.PolicyFP:
+				ss[i] = sched.NewFP(k.prof)
+			case sim.PolicyCSD:
+				part := n.choosePartition(perCPU[i])
+				if i == 0 {
+					n.part = part
 				}
+				ss[i] = sched.NewCSD(k.prof, part)
+			default:
+				return fmt.Errorf("kernel: unknown policy %q", n.cfg.Policy)
 			}
-			part, err := n.choosePartition(specs)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				n.part = part
-			}
-			ss[i] = sched.NewCSD(n.kern.prof, part)
-		}
-	default:
-		return fmt.Errorf("kernel: unknown policy %q", n.cfg.Policy)
-	}
-	n.kern.setSchedulers(ss...)
-	return n.kern.boot()
-}
-
-func (n *Node) periodicSpecs() []task.Spec {
-	var specs []task.Spec
-	for _, th := range n.kern.Threads() {
-		if th.TCB.Spec.Period > 0 {
-			specs = append(specs, th.TCB.Spec)
 		}
 	}
-	return specs
+	return k.boot(ss, perCPU)
 }
 
-func (n *Node) choosePartition(specs []task.Spec) (sched.Partition, error) {
+// choosePartition picks the CSD partition for one CPU's share of the
+// task set: Config.DPSizes when fixed, else the §5.5.3 search over its
+// periodic tasks.
+func (n *Node) choosePartition(tasks []*task.TCB) sched.Partition {
 	if n.cfg.DPSizes != nil {
-		return sched.Partition{DPSizes: n.cfg.DPSizes}, nil
+		return sched.Partition{DPSizes: n.cfg.DPSizes}
 	}
-	count := len(specs)
-	if count == 0 {
-		return sched.Partition{DPSizes: make([]int, n.cfg.Queues-1)}, nil
+	var specs []task.Spec
+	for _, t := range tasks {
+		if t.Spec.Period > 0 {
+			specs = append(specs, t.Spec)
+		}
+	}
+	if len(specs) == 0 {
+		return sched.Partition{DPSizes: make([]int, n.cfg.Queues-1)}
 	}
 	rmSorted := analysis.SortRM(specs)
 	if part, _, ok := analysis.BestPartition(n.kern.prof, rmSorted, n.cfg.Queues); ok {
-		return part, nil
+		return part
 	}
 	// No partition passes the schedulability test (overload): degrade
 	// to the all-DP split, which behaves like EDF — the best a
 	// dynamic-priority scheduler can do under overload.
 	sizes := make([]int, n.cfg.Queues-1)
-	sizes[0] = count
-	return sched.Partition{DPSizes: sizes}, nil
+	sizes[0] = len(specs)
+	return sched.Partition{DPSizes: sizes}
 }
 
 // Partition reports the CSD partition chosen at Boot.

@@ -6,6 +6,7 @@ import (
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/kernel"
+	"emeralds/internal/sched"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
@@ -264,5 +265,43 @@ func TestRecordResponsesInReport(t *testing.T) {
 	}
 	if !strings.Contains(n.Report(), "p99=") {
 		t.Error("report missing quantiles")
+	}
+}
+
+// TestOverrideSchedulerCount: overrides replace the policy switch one
+// instance per CPU, and any other count is refused at Boot.
+func TestOverrideSchedulerCount(t *testing.T) {
+	prof := costmodel.Zero()
+	for _, c := range []struct{ cpus, instances int }{{1, 2}, {2, 1}, {4, 3}} {
+		n := kernel.NewNode(sim.Config{CPUs: c.cpus, Profile: prof})
+		n.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
+		ss := make([]sched.Scheduler, c.instances)
+		for i := range ss {
+			ss[i] = sched.NewEDF(prof)
+		}
+		n.OverrideScheduler(ss...)
+		if err := n.Boot(); err == nil {
+			t.Errorf("%d instances for %d CPUs accepted", c.instances, c.cpus)
+		}
+	}
+	for _, m := range []int{1, 2} {
+		n := kernel.NewNode(sim.Config{CPUs: m, Profile: prof})
+		n.AddTask(task.Spec{Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond})
+		n.AddTask(task.Spec{Period: 20 * vtime.Millisecond, WCET: vtime.Millisecond})
+		ss := make([]sched.Scheduler, m)
+		for i := range ss {
+			ss[i] = sched.NewRM(prof)
+		}
+		n.OverrideScheduler(ss...)
+		if err := n.Boot(); err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		if got := n.Kernel().Scheduler(); got != ss[0] {
+			t.Errorf("M=%d: cpu0 runs %s, not the override", m, got.Name())
+		}
+		n.Run(50 * vtime.Millisecond)
+		if n.Stats().Completions == 0 || n.Stats().Misses != 0 {
+			t.Errorf("M=%d: completions=%d misses=%d", m, n.Stats().Completions, n.Stats().Misses)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"emeralds/internal/mem"
 	"emeralds/internal/metrics"
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 )
 
 // This file implements §6 of the paper: semaphores with full semantics
@@ -109,7 +110,7 @@ func (k *Kernel) doAcquire(th *Thread, op task.Op) {
 			k.blockPreAcquirers(s, th)
 		}
 		th.TCB.PC++
-		k.trAdd(traceKindSemAcquire, th.TCB.Name, s.name)
+		k.trAdd(trace.SemAcquire, th.TCB.Name, s.name)
 		return
 	}
 	// Contended. The caller blocks *before* priority inheritance runs:
@@ -124,7 +125,7 @@ func (k *Kernel) doAcquire(th *Thread, op task.Op) {
 	k.inheritFromWaiter(s, th)
 	s.waiters.Add(th.TCB)
 	th.waitingSem = s
-	k.traceOccupancyEnd(th, traceKindSemBlock, k.semBlockDetail(s))
+	k.traceOccupancyEnd(th, trace.SemBlockWait, k.semBlockDetail(s))
 	k.reschedule()
 }
 
@@ -149,11 +150,11 @@ func (k *Kernel) doRelease(th *Thread, op task.Op) {
 		// Releasing a mutex one does not hold is an application bug;
 		// surface it as a fault rather than corrupting lock state.
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, "release of unheld "+s.name)
+		k.trAdd(trace.Fault, th.TCB.Name, "release of unheld "+s.name)
 		th.TCB.PC++
 		return
 	}
-	k.trAdd(traceKindSemRelease, th.TCB.Name, s.name)
+	k.trAdd(trace.SemRelease, th.TCB.Name, s.name)
 	k.releaseInternal(th, s)
 	th.TCB.PC++
 	k.reschedule()
@@ -187,7 +188,7 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 		k.lockRunq(th.TCB.CPU, cost)
 		k.charge(cost, &k.stats.SemCharge)
 		k.exec.met.Inc(metrics.PIRestores)
-		k.trAdd(traceKindRestore, th.TCB.Name, s.name)
+		k.trAdd(trace.Restore, th.TCB.Name, s.name)
 	}
 	// §6.3.1: wake the pre-acquire threads that were re-blocked when
 	// the semaphore was taken; they proceed to their acquire calls. A
@@ -216,7 +217,7 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 			k.ensureHists(w)
 			w.blockHist.Add(k.eng.Now().Sub(w.semBlockAt))
 		}
-		k.trAdd(traceKindSemGrant, wTCB.Name, s.name)
+		k.trAdd(trace.SemGrant, wTCB.Name, s.name)
 		// With the semaphore still locked (by w now), hinted threads in
 		// the pre-acquire queue must stay parked.
 		k.blockPreAcquirers(s, w)
@@ -238,7 +239,7 @@ func (k *Kernel) releaseAllHeld(th *Thread) {
 		}
 		s := k.sem(id)
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, "job ended holding "+s.name)
+		k.trAdd(trace.Fault, th.TCB.Name, "job ended holding "+s.name)
 		k.releaseInternal(th, s)
 	}
 }
@@ -295,7 +296,7 @@ func (k *Kernel) inheritFromWaiter(s *semaphore, waiter *Thread) {
 	}
 	k.charge(cost, &k.stats.SemCharge)
 	k.exec.met.Inc(metrics.PIInherits)
-	k.trAdd(traceKindInherit, hTCB.Name, "from "+wTCB.Name)
+	k.trAdd(trace.Inherit, hTCB.Name, "from "+wTCB.Name)
 	// Transitive inheritance: a boosted holder that is itself blocked
 	// passes the boost along its own wait chain.
 	if holder.waitingSem != nil {
@@ -387,7 +388,7 @@ func (k *Kernel) wakeup(th *Thread) bool {
 			th.semBlockAt = k.eng.Now()
 			k.exec.met.Inc(metrics.SavedSwitches)
 			k.exec.met.Inc(metrics.HintPIs)
-			k.trAdd(traceKindSemHintPI, th.TCB.Name, k.semBlockDetail(s))
+			k.trAdd(trace.SemHintPI, th.TCB.Name, k.semBlockDetail(s))
 			return false
 		}
 		if s.isMutex() && s.owner == nil {
@@ -396,7 +397,7 @@ func (k *Kernel) wakeup(th *Thread) bool {
 	}
 	th.TCB.State = task.Ready
 	k.unblockTask(th.TCB)
-	k.trAdd(traceKindUnblock, th.TCB.Name, "")
+	k.trAdd(trace.UnblockEv, th.TCB.Name, "")
 	return true
 }
 
@@ -461,7 +462,7 @@ func (k *Kernel) doWaitEvent(th *Thread, op task.Op) {
 	e.waiters.Add(th.TCB)
 	th.TCB.State = task.Blocked
 	k.blockTask(th.TCB)
-	k.traceOccupancyEnd(th, traceKindBlock, e.name)
+	k.traceOccupancyEnd(th, trace.BlockEv, e.name)
 	k.reschedule()
 }
 
@@ -475,7 +476,7 @@ func (k *Kernel) doSignalEvent(th *Thread, op task.Op) {
 // Shared by the OpSignalEvent path and ISRs.
 func (k *Kernel) signalEvent(id int, byName string) {
 	e := k.event(id)
-	k.trAdd(traceKindSignal, byName, e.name)
+	k.trAdd(trace.Signal, byName, e.name)
 	ws := e.waiters.Drain()
 	if len(ws) == 0 {
 		e.pending = true
@@ -530,7 +531,7 @@ func (k *Kernel) doCondWait(th *Thread, op task.Op) {
 	m := k.sem(op.Hint)
 	if m.isMutex() && m.owner != th {
 		k.exec.met.Inc(metrics.Faults)
-		k.trAdd(traceKindFault, th.TCB.Name, "cond-wait without "+m.name)
+		k.trAdd(trace.Fault, th.TCB.Name, "cond-wait without "+m.name)
 		th.TCB.PC++
 		return
 	}
@@ -539,7 +540,7 @@ func (k *Kernel) doCondWait(th *Thread, op task.Op) {
 	c.waiters.Add(th.TCB)
 	th.TCB.State = task.Blocked
 	k.blockTask(th.TCB)
-	k.traceOccupancyEnd(th, traceKindBlock, c.name)
+	k.traceOccupancyEnd(th, trace.BlockEv, c.name)
 	k.reschedule()
 }
 
@@ -565,11 +566,11 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 				// The waiter takes the mutex right here, without passing
 				// through doAcquire — record it, or trace replay loses
 				// track of who holds m.
-				k.trAdd(traceKindSemAcquire, wTCB.Name, m.name)
+				k.trAdd(trace.SemAcquire, wTCB.Name, m.name)
 			}
 			wTCB.PC++
 			if k.readyUnlessSuspended(w) {
-				k.trAdd(traceKindUnblock, wTCB.Name, c.name)
+				k.trAdd(trace.UnblockEv, wTCB.Name, c.name)
 			}
 		} else {
 			// Mutex held: move the waiter onto the mutex queue with
@@ -584,7 +585,7 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 			// The waiter silently moves from the condvar queue to the
 			// mutex queue; surface the transition so replay knows it is
 			// now semaphore-blocked (and on whom).
-			k.trAdd(traceKindSemBlock, wTCB.Name, k.semBlockDetail(m))
+			k.trAdd(trace.SemBlockWait, wTCB.Name, k.semBlockDetail(m))
 			if k.optHints {
 				k.exec.met.Inc(metrics.SavedSwitches)
 			}

@@ -80,7 +80,7 @@ func Gen(base int64, index, forcedCPUs int) *Scenario {
 	}
 	if s.CPUs > 1 {
 		// Pin a minority of tasks to random CPUs; AssignCPUs honors the
-		// affinity and the feasibility mirror reproduces the placement.
+		// affinity, and Feasible analyses the placement Boot makes.
 		for i := range s.Tasks {
 			if rng.Intn(10) < 3 {
 				s.Tasks[i].Spec.Affinity = 1 + rng.Intn(s.CPUs)

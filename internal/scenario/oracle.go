@@ -80,14 +80,7 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 		}
 	}()
 
-	sys, aper, err := Build(s)
-	if err != nil {
-		res.Findings = append(res.Findings, Finding{OraclePanic, "build: " + err.Error()})
-		return res
-	}
-	// Flight recorder: ~256 samples across the horizon. The sampler
-	// only reads kernel state, so the simulation (and every other
-	// oracle) is unaffected by its presence.
+	// Flight recorder: ~256 samples across the horizon.
 	interval := s.Horizon / 256
 	if interval <= 0 {
 		interval = vtime.Microsecond
@@ -95,29 +88,11 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 	if sampleUs > 0 {
 		interval = vtime.Duration(sampleUs * 1000)
 	}
-	rec, err := telemetry.Attach(sys.Kernel(), telemetry.Config{Interval: interval, Capacity: 512})
+	sys, rec, err := replay(s, &telemetry.Config{Interval: interval, Capacity: 512})
 	if err != nil {
-		res.Findings = append(res.Findings, Finding{OraclePanic, "telemetry: " + err.Error()})
+		res.Findings = append(res.Findings, Finding{OraclePanic, err.Error()})
 		return res
 	}
-	if err := sys.Boot(); err != nil {
-		res.Findings = append(res.Findings, Finding{OraclePanic, "boot: " + err.Error()})
-		return res
-	}
-	// Aperiodic arrivals are plain engine events; ReleaseAperiodic
-	// ignores arrivals that land while a job is still in flight
-	// (counted as overruns, like a lost periodic release).
-	eng := sys.Kernel().Engine()
-	for i, th := range aper {
-		if th == nil {
-			continue
-		}
-		th := th
-		for _, at := range s.Tasks[i].Arrivals {
-			eng.At(at, "arrival", func() { sys.Kernel().ReleaseAperiodic(th) })
-		}
-	}
-	sys.Run(s.Horizon)
 
 	st := sys.Stats()
 	res.Misses, res.Completions = st.Misses, st.Completions
@@ -210,38 +185,33 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 }
 
 // Feasible runs the schedulability analysis the simulator's Boot
-// implicitly claims: on a single CPU the policy's feasibility test over
-// the whole set; on a multicore build the same test per CPU over the
-// deterministic sched.AssignCPUs split Boot will use. For CSD the claim
-// is "some partition passes §5.5.3's search" — when none does, core
-// degrades to the all-DP split without claiming schedulability, so no
-// claim is made here either.
+// implicitly claims: the policy's feasibility test per CPU over the
+// placement Boot makes (one CPU holding the whole set when M = 1). For
+// CSD the claim is "some partition passes §5.5.3's search" — when none
+// does, the kernel degrades to the all-DP split without claiming
+// schedulability, so no claim is made here either.
 func Feasible(s *Scenario) bool {
 	prof := s.Profile()
-	if s.CPUs <= 1 {
-		specs := make([]task.Spec, len(s.Tasks))
-		for i, t := range s.Tasks {
+	for _, cpuTasks := range placement(s) {
+		specs := make([]task.Spec, len(cpuTasks))
+		for i, t := range cpuTasks {
 			specs[i] = t.Spec
-		}
-		return feasibleOn(s.Policy, prof, specs)
-	}
-	// Mirror kernel.bootCPUs: placement is a pure function of the specs
-	// in admission order.
-	tcbs := make([]*task.TCB, len(s.Tasks))
-	for i, t := range s.Tasks {
-		tcbs[i] = task.New(i, t.Spec)
-	}
-	perCPU := sched.AssignCPUs(tcbs, s.CPUs)
-	for _, cpuTasks := range perCPU {
-		var specs []task.Spec
-		for _, t := range cpuTasks {
-			specs = append(specs, t.Spec)
 		}
 		if !feasibleOn(s.Policy, prof, specs) {
 			return false
 		}
 	}
 	return true
+}
+
+// placement is the per-CPU split Boot makes of the scenario's tasks:
+// sched.AssignCPUs, a pure function of the specs in admission order.
+func placement(s *Scenario) [][]*task.TCB {
+	tcbs := make([]*task.TCB, len(s.Tasks))
+	for i, t := range s.Tasks {
+		tcbs[i] = task.New(i, t.Spec)
+	}
+	return sched.AssignCPUs(tcbs, s.CPUs)
 }
 
 func feasibleOn(policy string, prof *costmodel.Profile, specs []task.Spec) bool {

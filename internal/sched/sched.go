@@ -13,7 +13,6 @@ package sched
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"emeralds/internal/costmodel"
 	"emeralds/internal/task"
@@ -113,32 +112,31 @@ func assignByKey(ts []*task.TCB, key func(*task.TCB) vtime.Duration) []*task.TCB
 // standard partitioned-RM heuristic. Ties (equal utilization, equal
 // load) break by task ID and lowest CPU index, so the placement is a
 // pure function of the specs. Returns the per-CPU task slices, each in
-// the original admission order.
+// the original admission order. The CPU field is the only store of the
+// placement: Node.Boot calls this on every boot, M = 1 included.
 func AssignCPUs(ts []*task.TCB, m int) [][]*task.TCB {
 	if m < 1 {
 		m = 1
 	}
 	load := make([]float64, m)
-	cpuOf := make(map[*task.TCB]int, len(ts))
-	var auto []*task.TCB
+	auto := make([]*task.TCB, 0, len(ts))
 	for _, t := range ts {
 		if a := t.Spec.Affinity; a > 0 {
-			cpu := a - 1
-			if cpu >= m {
-				cpu = m - 1
-			}
-			cpuOf[t] = cpu
-			load[cpu] += t.Spec.Utilization()
+			t.CPU = min(a, m) - 1
+			load[t.CPU] += t.Spec.Utilization()
 		} else {
 			auto = append(auto, t)
 		}
 	}
-	sort.SliceStable(auto, func(i, j int) bool {
-		ui, uj := auto[i].Spec.Utilization(), auto[j].Spec.Utilization()
-		if ui != uj {
-			return ui > uj
+	slices.SortStableFunc(auto, func(a, b *task.TCB) int {
+		ua, ub := a.Spec.Utilization(), b.Spec.Utilization()
+		if ua != ub {
+			if ua > ub {
+				return -1
+			}
+			return 1
 		}
-		return auto[i].ID < auto[j].ID
+		return a.ID - b.ID
 	})
 	for _, t := range auto {
 		best := 0
@@ -147,14 +145,12 @@ func AssignCPUs(ts []*task.TCB, m int) [][]*task.TCB {
 				best = c
 			}
 		}
-		cpuOf[t] = best
+		t.CPU = best
 		load[best] += t.Spec.Utilization()
 	}
 	out := make([][]*task.TCB, m)
 	for _, t := range ts {
-		c := cpuOf[t]
-		t.CPU = c
-		out[c] = append(out[c], t)
+		out[t.CPU] = append(out[t.CPU], t)
 	}
 	return out
 }

@@ -55,8 +55,8 @@ const (
 	VLinkRecv
 
 	// NumKinds is the number of defined kinds (sentinel, not a Kind).
-	// kindNames and the kernel's tracekinds.go aliases are locked to it
-	// by tests, so a new Kind cannot land without a printable name.
+	// kindNames is locked to it by a test, so a new Kind cannot land
+	// without a printable name.
 	NumKinds
 )
 

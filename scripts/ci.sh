@@ -53,6 +53,32 @@ go run ./cmd/emreport -policy rm -ms 500 -quiet -json -json-out "$tmp/emreport.j
 go run ./scripts/artifactdiff results/emreport.json "$tmp/emreport.json"
 cmp results/emreport.txt "$tmp/emreport.txt"
 
+echo "== experiment artifact regression (tables, sweeps, flight recorder vs results/) =="
+# Regenerate the remaining committed artifacts with scripts/repro.sh's
+# commands and compare them with results/: Tables 1-3, Figures 11-12,
+# the Section 7 IPC comparison, the ablations (their lock grid boots
+# M = 1, 2 and 4, and the ready-counter ablation installs its own
+# scheduler) and the sampled flight-recorder artifact with its emstat
+# report. artifactdiff ignores only the volatile "run" block; emstat's
+# first line names its input path, so its report compares from line 2.
+go run ./cmd/schedtab -quiet -json-out "$tmp/schedtab.json" -txt-out "$tmp/schedtab.txt" >/dev/null
+go run ./scripts/artifactdiff results/schedtab.json "$tmp/schedtab.json"
+cmp results/schedtab.txt "$tmp/schedtab.txt"
+go run ./cmd/sembench -quiet -json-out "$tmp/figures11-12.json" >"$tmp/figures11-12.txt"
+go run ./scripts/artifactdiff results/figures11-12.json "$tmp/figures11-12.json"
+cmp results/figures11-12.txt "$tmp/figures11-12.txt"
+go run ./cmd/ipcbench -quiet -json-out "$tmp/ipc.json" >"$tmp/ipc.txt"
+go run ./scripts/artifactdiff results/ipc.json "$tmp/ipc.json"
+cmp results/ipc.txt "$tmp/ipc.txt"
+go run ./cmd/ablate -quiet -json-out "$tmp/ablation.json" >"$tmp/ablation.txt"
+go run ./scripts/artifactdiff results/ablation.json "$tmp/ablation.json"
+cmp results/ablation.txt "$tmp/ablation.txt"
+go run ./cmd/emsim -ms 500 -sample-us 500 -attrib -quiet -json-out "$tmp/telemetry.json" >/dev/null
+go run ./scripts/artifactdiff results/telemetry.json "$tmp/telemetry.json"
+go run ./cmd/emstat "$tmp/telemetry.json" >"$tmp/emstat.txt"
+tail -n +2 results/emstat.txt >"$tmp/emstat.want"
+tail -n +2 "$tmp/emstat.txt" | cmp "$tmp/emstat.want" -
+
 echo "== breakdown figure regression (Figures 3-5 vs results/) =="
 # The breakdown percentages are pinned exactly: regenerate Figures 3-5
 # at the committed 100 workloads/point and compare them with results/,
