@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("ablate")
+	c := cli.Register("ablate", cli.Seed, cli.Workers, cli.CSV)
 	f := c.SimFlags()
 	lens := flag.String("len", "5,10,15,20,25,30", "queue lengths for the semaphore ablation (minimum 3)")
 	sweepN := flag.Int("sweep-n", 30, "task count for the queue-count sweep")
@@ -35,14 +35,11 @@ func main() {
 	// row/regime, matching their meaning in emsim/emreport/emfuzz. The
 	// defaults leave the full grid.
 	if cli.Explicit("cpus") {
-		lcs = []int{c.CPUs}
+		lcs = []int{f.CPUs}
 	}
 	var regimes []kernel.LockRegime
 	if cli.Explicit("lock") {
-		r, err := kernel.ParseLockRegime(c.Lock)
-		if err != nil {
-			c.Fatalf("%v", err)
-		}
+		r, _ := kernel.ParseLockRegime(f.Lock) // checked by Parse
 		regimes = []kernel.LockRegime{r}
 	}
 	par := experiments.Par{Workers: c.Workers, Progress: c.Progress()}

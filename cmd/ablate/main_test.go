@@ -23,3 +23,11 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		clitest.Refused(t, "bad "+args[0]+":", append(args, quick...)...)
 	}
 }
+
+// TestFlagSurface: ablate accepts the simulator flags, which pin and
+// observe its lock grid, and its own, and refuses -txt-out, which it
+// never read.
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{"cpus", "csv", "json", "json-out", "len", "lock", "lock-cpus", "lock-ms", "quiet", "sample-cap", "sample-us", "seed", "sweep-n", "sweep-workloads", "trace-out", "workers"},
+		"txt-out")
+}

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("breakdown")
+	c := cli.Register("breakdown", cli.Seed, cli.Workers, cli.CSV)
 	div := flag.Int("div", 1, "divide task periods by this factor (1, 2, 3)")
 	workloads := flag.Int("workloads", 100, "random workloads per point (paper: 500)")
 	ns := flag.String("n", "", "comma-separated task counts (default 5..50 step 5)")

@@ -18,3 +18,11 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		clitest.Refused(t, "bad "+args[0]+":", append(args, "-n", "5", "-quiet")...)
 	}
 }
+
+// TestFlagSurface: breakdown accepts the flags its sweep reads and
+// refuses -cpus, -lock and -txt-out, which it never read: the sweep is
+// analytic and the -sim cross-check boots single-CPU nodes.
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{"csv", "div", "json", "json-out", "n", "quiet", "seed", "sim", "workers", "workloads"},
+		"cpus", "lock", "txt-out")
+}

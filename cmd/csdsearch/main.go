@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("csdsearch")
+	c := cli.Register("csdsearch", cli.Seed, cli.CSV)
 	n := flag.Int("n", 100, "number of tasks")
 	u := flag.Float64("u", 0.7, "raw workload utilization")
 	div := flag.Int("div", 1, "period divisor")

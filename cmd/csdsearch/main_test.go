@@ -21,3 +21,11 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		clitest.Refused(t, "bad "+args[0]+":", append(args, "-quiet")...)
 	}
 }
+
+// TestFlagSurface: csdsearch accepts the flags its search reads and
+// refuses -cpus, -lock, -txt-out and -workers, which it never read: the
+// search is one analytic computation.
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{"csv", "div", "json", "json-out", "n", "queues", "quiet", "seed", "u"},
+		"cpus", "lock", "txt-out", "workers")
+}

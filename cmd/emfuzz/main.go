@@ -1,10 +1,11 @@
 // Command emfuzz runs a property-based fuzzing campaign over randomly
-// generated scenarios: every policy, both semaphore schemes, and
-// M ∈ {1,2,4} unless -cpus pins one, with five oracles checked per
-// trace (differential feasibility, attribution residual, priority
-// inversion, kernel invariants, IPC synchronizability). Violations are
-// minimized into self-contained repro files and the exit status is 1,
-// so the command doubles as a CI gate.
+// generated scenarios: every policy, both semaphore schemes, M ∈ {1,2,4}
+// and every lock regime unless -cpus and -lock pin one, with five
+// oracles checked per trace (differential feasibility, attribution
+// residual, priority inversion, kernel invariants, IPC
+// synchronizability). Violations are minimized into self-contained
+// repro files and the exit status is 1, so the command doubles as a CI
+// gate.
 //
 //	emfuzz -scenarios 1000 -seed 1     # the PR acceptance run
 //	emfuzz -scenarios 50 -cpus 4       # pin quad-core scenarios
@@ -23,33 +24,30 @@ import (
 
 	"emeralds/internal/cli"
 	"emeralds/internal/harness"
+	"emeralds/internal/kernel"
 	"emeralds/internal/scenario"
 )
 
 func main() {
-	c := cli.Register("emfuzz")
-	f := c.SimFlags()
+	c := cli.Register("emfuzz", cli.Seed, cli.Workers, cli.CSV, cli.TxtOut)
 	scenarios := flag.Int("scenarios", 200, "number of scenarios to generate and run")
+	cpus := flag.Int("cpus", 0, "pin every scenario to this simulated CPU count (0 = mix M ∈ {1, 2, 4})")
+	lock := flag.String("lock", "", "pin the multicore scenarios to one lock regime: percpu, perqueue, biglock (empty = mix the regimes)")
+	sampleUs := flag.Float64("sample-us", 0, "flight-recorder cadence in virtual microseconds (0 = about 256 samples per scenario horizon)")
+	traceOut := flag.String("trace-out", "", "write the first violation's replay (minimized when -minimize) as Chrome/Perfetto trace-event JSON")
 	minimize := flag.Bool("minimize", true, "delta-debug each violation into a minimal repro")
 	reproDir := flag.String("repro-dir", "results/repros", "directory for violation repro files")
 	metricsAddr := flag.String("metrics-addr", "", "serve live OpenMetrics on this address (/metrics, /debug/pprof) while the campaign runs")
 	start := time.Now()
 	c.Parse()
-	if *scenarios < 1 {
-		c.Fatalf("bad -scenarios: %d (want ≥ 1)", *scenarios)
+	c.AtLeast("scenarios", *scenarios, 1)
+	c.AtLeast("cpus", *cpus, 0)
+	if *lock != "" {
+		if _, err := kernel.ParseLockRegime(*lock); err != nil {
+			c.Fatalf("bad -lock: %v", err)
+		}
 	}
-	// The shared -cpus flag defaults to 1, but the campaign's default is
-	// the full mix M ∈ {1,2,4}; only an explicit -cpus pins the count.
-	cpus := 0
-	if cli.Explicit("cpus") {
-		cpus = c.CPUs
-	}
-	// Likewise -lock: the campaign's default mixes every regime on
-	// multicore scenarios; an explicit -lock pins them all to one.
-	lock := ""
-	if cli.Explicit("lock") {
-		lock = c.Lock
-	}
+	c.Cadence("sample-us", *sampleUs)
 
 	var scrape *harness.Scrape
 	if *metricsAddr != "" {
@@ -67,11 +65,11 @@ func main() {
 	rep, err := scenario.RunCampaign(context.Background(), scenario.CampaignConfig{
 		Scenarios: *scenarios,
 		BaseSeed:  c.Seed,
-		CPUs:      cpus,
-		Lock:      lock,
+		CPUs:      *cpus,
+		Lock:      *lock,
 		Workers:   c.Workers,
 		Minimize:  *minimize,
-		SampleUs:  f.SampleUs,
+		SampleUs:  *sampleUs,
 		Progress:  c.Progress(),
 		Scrape:    scrape,
 	})
@@ -98,7 +96,7 @@ func main() {
 
 	// -trace-out exports the first violation's replay for visual triage;
 	// a clean campaign has no schedule worth exporting.
-	if f.TraceOut != "" {
+	if *traceOut != "" {
 		if len(rep.Violations) == 0 {
 			if !c.Quiet {
 				fmt.Fprintln(os.Stderr, "emfuzz: -trace-out: no oracle violations; nothing exported")
@@ -109,7 +107,7 @@ func main() {
 			if s == nil {
 				s = v.Scenario
 			}
-			w, err := os.Create(f.TraceOut)
+			w, err := os.Create(*traceOut)
 			if err != nil {
 				c.Fatalf("-trace-out: %v", err)
 			}
@@ -121,13 +119,13 @@ func main() {
 				c.Fatalf("-trace-out: %v", err)
 			}
 			if !c.Quiet {
-				fmt.Fprintf(os.Stderr, "emfuzz: wrote %s (scenario %d replay)\n", f.TraceOut, v.Scenario.Index)
+				fmt.Fprintf(os.Stderr, "emfuzz: wrote %s (scenario %d replay)\n", *traceOut, v.Scenario.Index)
 			}
 		}
 	}
 
 	var out strings.Builder
-	render(&out, c, rep, cpus, repros)
+	render(&out, c, rep, *cpus, repros)
 	fmt.Print(out.String())
 	c.EmitText(out.String())
 
@@ -141,7 +139,7 @@ func main() {
 		ReproDir  string  `json:"repro_dir,omitempty"`
 	}
 	if c.JSON {
-		a := harness.NewArtifact(c.Tool, config{*scenarios, c.Seed, cpus, lock, f.SampleUs, *minimize, *reproDir},
+		a := harness.NewArtifact(c.Tool, config{*scenarios, c.Seed, *cpus, *lock, *sampleUs, *minimize, *reproDir},
 			rep, c.EffectiveWorkers(), time.Since(start))
 		a.Schema = harness.FuzzSchema
 		path := c.ArtifactPath()

@@ -14,7 +14,7 @@
 // -trace accepts either a raw emeralds.trace/v1 JSON log or a Perfetto
 // export produced by emsim -trace-out (the raw log rides along
 // inside). Output is deterministic: the same trace or scenario always
-// renders the same bytes, regardless of -workers.
+// renders the same bytes, whatever the host's parallelism.
 package main
 
 import (
@@ -27,32 +27,15 @@ import (
 	"emeralds/internal/attrib"
 	"emeralds/internal/cli"
 	"emeralds/internal/ipc/syncheck"
-	"emeralds/internal/kernel"
-	"emeralds/internal/sim"
-	"emeralds/internal/task"
 	"emeralds/internal/trace"
-	"emeralds/internal/vtime"
-	"emeralds/internal/workload"
 )
 
 func main() {
-	c := cli.Register("emreport")
-	f := c.SimFlags()
-	policy := flag.String("policy", "csd", "scheduler: csd, edf, rm, rm-heap, fp")
-	queues := flag.Int("queues", 3, "CSD queue count")
-	n := flag.Int("n", 0, "random workload size (0 = use the Table 2 workload)")
-	u := flag.Float64("u", 0.7, "random workload utilization")
-	div := flag.Int("div", 1, "period divisor")
-	ms := flag.Float64("ms", 100, "virtual milliseconds to run (scenario mode)")
-	standard := flag.Bool("standard-sem", false, "use the standard §6.1 semaphore scheme")
+	c := cli.Register("emreport", cli.Seed, cli.CSV, cli.TxtOut)
+	r := c.RunFlags(100)
 	traceIn := flag.String("trace", "", "analyze a trace JSON file instead of replaying a scenario")
 	doSync := flag.Bool("syncheck", false, "append an IPC synchronizability check (crown detection over the observed sends/receives)")
 	c.Parse()
-	c.AtLeast("queues", *queues, 1)
-	c.AtLeast("n", *n, 0)
-	c.Positive("u", *u)
-	c.AtLeast("div", *div, 1)
-	c.Millis("ms", *ms)
 
 	var (
 		rep    *attrib.Report
@@ -64,13 +47,8 @@ func main() {
 		rep, events, err = analyzeFile(*traceIn)
 		source = *traceIn
 	} else {
-		cfg := scenario{
-			Policy: *policy, Queues: *queues, N: *n, U: *u, Div: *div,
-			Seed: c.Seed, Millis: *ms, StandardSem: *standard,
-			CPUs: c.CPUs, Lock: c.Lock,
-		}
-		rep, events, err = runScenario(cfg, c, f)
-		source = cfg.String()
+		rep, events, err = runScenario(c, r)
+		source = describe(r, c.Seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "emreport:", err)
@@ -113,91 +91,42 @@ func main() {
 	}
 	cfg := config{Trace: *traceIn}
 	if *traceIn == "" {
-		cpus, lock := c.MulticoreConfig()
+		cpus, lock := r.MulticoreConfig()
 		cfg = config{
-			Policy: *policy, Queues: *queues, N: *n, U: *u,
-			Div: *div, Seed: c.Seed, Millis: *ms, StdSem: *standard,
+			Policy: r.Policy, Queues: r.Queues, N: r.N, U: r.U,
+			Div: r.Div, Seed: c.Seed, Millis: r.Ms, StdSem: r.StandardSem,
 			CPUs: cpus, Lock: lock,
 		}
 	}
 	c.EmitArtifact(cfg, series{len(rep.Tasks), len(rep.Misses), len(rep.Inversions)})
 }
 
-// scenario mirrors emsim's simulation flags.
-type scenario struct {
-	Policy      string
-	Queues      int
-	N           int
-	U           float64
-	Div         int
-	Seed        int64
-	Millis      float64
-	StandardSem bool
-	CPUs        int
-	Lock        string
-}
-
-func (s scenario) String() string {
+// describe names the flagged scenario in the report's header.
+func describe(r *cli.RunFlags, seed int64) string {
 	wl := "table2"
-	if s.N > 0 {
-		wl = fmt.Sprintf("random n=%d u=%.2f seed=%d", s.N, s.U, s.Seed)
+	if r.N > 0 {
+		wl = fmt.Sprintf("random n=%d u=%.2f seed=%d", r.N, r.U, seed)
 	}
-	out := fmt.Sprintf("scenario %s policy=%s %.0fms", wl, s.Policy, s.Millis)
-	if s.CPUs > 1 {
-		out += fmt.Sprintf(" cpus=%d lock=%s", s.CPUs, s.Lock)
+	out := fmt.Sprintf("scenario %s policy=%s %.0fms", wl, r.Policy, r.Ms)
+	if r.CPUs > 1 {
+		out += fmt.Sprintf(" cpus=%d lock=%s", r.CPUs, r.Lock)
 	}
 	return out
 }
 
-// buildSystem boots the configured workload and runs it to the
-// configured horizon. Deterministic for a given config; f (optional)
-// attaches the flight recorder before Boot.
-func buildSystem(cfg scenario, f *cli.SimFlags) (*kernel.Node, error) {
-	var specs []task.Spec
-	if cfg.N > 0 {
-		specs = workload.Generate(workload.Config{
-			N: cfg.N, Utilization: cfg.U, PeriodDiv: cfg.Div, Seed: cfg.Seed,
-		})
-	} else {
-		specs = workload.Table2()
-	}
-	sys, err := kernel.Boot(sim.Config{
-		Policy:        cfg.Policy,
-		Queues:        cfg.Queues,
-		CPUs:          cfg.CPUs,
-		Lock:          cfg.Lock,
-		StandardSem:   cfg.StandardSem,
-		TraceCapacity: 1 << 20,
-	}, func(sys *kernel.Node) error {
-		for _, s := range specs {
-			sys.AddTask(s)
-		}
-		if f != nil {
-			return f.Observe(sys)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(vtime.Millis(cfg.Millis))
-	return sys, nil
-}
-
-// runScenario replays the scenario's trace into a report, returning the
-// raw events too so -syncheck can re-analyze the same window.
-func runScenario(cfg scenario, c *cli.Common, f *cli.SimFlags) (*attrib.Report, []trace.Event, error) {
-	sys, err := buildSystem(cfg, f)
+// runScenario runs the flagged scenario with the whole run's trace kept
+// and replays that trace into a report, returning the raw events too so
+// -syncheck can re-analyze the same window.
+func runScenario(c *cli.Common, r *cli.RunFlags) (*attrib.Report, []trace.Event, error) {
+	cfg := r.Config()
+	cfg.TraceCapacity = 1 << 20
+	sys, err := r.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c != nil {
-		c.Diagnostics = sys.Kernel().Diagnostics()
-	}
-	if f != nil {
-		if err := f.Finish(sys); err != nil {
-			return nil, nil, err
-		}
+	c.Diagnostics = sys.Kernel().Diagnostics()
+	if err := r.Finish(sys); err != nil {
+		return nil, nil, err
 	}
 	events := sys.Trace().Events()
 	an, err := attrib.Analyze(events, sys.Trace().Dropped())

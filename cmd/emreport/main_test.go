@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -35,38 +34,36 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 	}
 }
 
-// goldenScenario is the reference run: RM on the Table 2 workload long
-// enough to produce τ₄'s overload misses, so the golden locks the miss
-// root-cause rendering too.
-func goldenScenario() scenario {
-	return scenario{Policy: "rm", Queues: 3, Div: 1, U: 0.7, Seed: 1, Millis: 50}
+// TestFlagSurface: emreport accepts the shared run and simulator flags
+// and its own, and refuses -workers, which it never read: its replay
+// runs no harness fan-out.
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{
+		"cpus", "csv", "div", "json", "json-out", "lock", "ms", "n", "policy",
+		"queues", "quiet", "sample-cap", "sample-us", "seed", "standard-sem",
+		"syncheck", "trace", "trace-out", "txt-out", "u",
+	}, "workers")
 }
 
-func renderScenario(t *testing.T, cfg scenario) string {
-	t.Helper()
-	rep, _, err := runScenario(cfg, nil, nil)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
-	var sb strings.Builder
-	rep.RenderText(&sb, cfg.String())
-	return sb.String()
-}
+// golden is the reference run: RM on the Table 2 workload long enough
+// to produce τ₄'s overload misses, so the golden locks the miss
+// root-cause rendering too.
+var golden = []string{"-policy", "rm", "-ms", "50", "-quiet"}
 
 // TestGoldenReport locks emreport's text output byte-for-byte.
 func TestGoldenReport(t *testing.T) {
-	got := renderScenario(t, goldenScenario())
-	golden := filepath.Join("testdata", "golden.txt")
+	got := clitest.Run(t, golden...)
+	path := filepath.Join("testdata", "golden.txt")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
@@ -76,66 +73,39 @@ func TestGoldenReport(t *testing.T) {
 }
 
 // TestWorkerIndependence: the report is a pure function of the trace —
-// identical bytes whether the process runs on one core or many. This
-// is the -workers 1 vs -workers 8 guarantee: worker fan-out never
-// enters the replay path.
+// identical bytes whether the process runs on one core or many. No
+// worker fan-out enters the replay path.
 func TestWorkerIndependence(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	one := renderScenario(t, goldenScenario())
-	runtime.GOMAXPROCS(8)
-	eight := renderScenario(t, goldenScenario())
-	runtime.GOMAXPROCS(prev)
+	t.Setenv("GOMAXPROCS", "1")
+	one := clitest.Run(t, golden...)
+	t.Setenv("GOMAXPROCS", "8")
+	eight := clitest.Run(t, golden...)
 	if one != eight {
 		t.Error("report bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 }
 
-// TestTraceFileRoundTrip: analyzing an exported raw trace file must
-// produce exactly the report of the live in-process replay.
+// TestTraceFileRoundTrip: analyzing the Perfetto export of a run, whose
+// raw log rides along inside, must produce exactly the report of the
+// live in-process replay.
 func TestTraceFileRoundTrip(t *testing.T) {
-	cfg := goldenScenario()
-	sys, err := buildSystem(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Trace().ExportJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fromFile, _, err := analyzeFile(path)
-	if err != nil {
-		t.Fatalf("analyzeFile: %v", err)
-	}
-	var a, b strings.Builder
-	fromFile.RenderText(&a, "x")
-	live := renderScenario(t, cfg)
-	// renderScenario uses the scenario as source; normalize headers.
-	b.WriteString(strings.Replace(live, "EMERALDS latency attribution — "+cfg.String(),
-		"EMERALDS latency attribution — x", 1))
-	if a.String() != b.String() {
+	live := clitest.Run(t, append(golden, "-trace-out", path)...)
+	fromFile := clitest.Run(t, "-trace", path, "-quiet")
+	// The header names the source: the scenario, or the file.
+	live = strings.Replace(live, "EMERALDS latency attribution — scenario table2 policy=rm 50ms",
+		"EMERALDS latency attribution — "+path, 1)
+	if fromFile != live {
 		t.Error("trace-file replay differs from live replay")
 	}
 }
 
 // TestCSVOutput sanity-checks the machine-readable mode.
 func TestCSVOutput(t *testing.T) {
-	rep, _, err := runScenario(goldenScenario(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	writeCSV(&sb, rep)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	out := clitest.Run(t, append(golden, "-csv")...)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) < 2 {
-		t.Fatalf("CSV has no data rows:\n%s", sb.String())
+		t.Fatalf("CSV has no data rows:\n%s", out)
 	}
 	want := len(strings.Split(lines[0], ","))
 	for i, l := range lines {

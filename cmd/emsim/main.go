@@ -18,42 +18,25 @@ import (
 	"emeralds/internal/attrib"
 	"emeralds/internal/cli"
 	"emeralds/internal/kernel"
-	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
-	"emeralds/internal/workload"
 )
 
 func main() {
-	c := cli.Register("emsim")
-	f := c.SimFlags()
-	policy := flag.String("policy", "csd", "scheduler: csd, edf, rm, rm-heap, fp")
-	queues := flag.Int("queues", 3, "CSD queue count")
-	n := flag.Int("n", 0, "random workload size (0 = use the Table 2 workload)")
-	u := flag.Float64("u", 0.7, "random workload utilization")
-	div := flag.Int("div", 1, "period divisor")
-	ms := flag.Float64("ms", 1000, "virtual milliseconds to run")
+	c := cli.Register("emsim", cli.Seed, cli.CSV)
+	r := c.RunFlags(1000)
 	traceN := flag.Int("trace", 0, "print the last N trace events")
 	gantt := flag.Float64("gantt", 0, "render an ASCII Gantt chart of the first N virtual milliseconds")
 	attribFlag := flag.Bool("attrib", false, "print the latency-attribution report and embed it in the -json artifact")
-	standard := flag.Bool("standard-sem", false, "use the standard §6.1 semaphore scheme")
 	teleFlag := flag.Bool("telemetry", false, "print the telemetry summary (sparklines, SLO verdicts, change points); implies a default -sample-us")
 	c.Parse()
-	c.AtLeast("queues", *queues, 1)
-	c.AtLeast("n", *n, 0)
-	c.Positive("u", *u)
-	c.AtLeast("div", *div, 1)
-	run := c.Millis("ms", *ms)
-	if *teleFlag && f.SampleUs == 0 {
+	if *teleFlag && r.SampleUs == 0 {
 		// Default cadence: 512 samples across the run.
-		f.SampleUs = *ms * 1000 / 512
+		r.SampleUs = r.Ms * 1000 / 512
 	}
 
-	cfg := f.Config()
-	cfg.Policy = *policy
-	cfg.Queues = *queues
-	cfg.StandardSem = *standard
+	cfg := r.Config()
 	cfg.RecordResponses = true
 	cfg.TraceCapacity = max(cfg.TraceCapacity, *traceN)
 	if *gantt > 0 {
@@ -65,29 +48,17 @@ func main() {
 		cfg.TraceCapacity = max(cfg.TraceCapacity, 1<<20)
 	}
 
-	var specs []task.Spec
-	if *n > 0 {
-		specs = workload.Generate(workload.Config{N: *n, Utilization: *u, PeriodDiv: *div, Seed: c.Seed})
-	} else {
-		specs = workload.Table2()
-	}
-	sys, err := kernel.Boot(cfg, func(sys *kernel.Node) error {
-		for _, s := range specs {
-			sys.AddTask(s)
-		}
-		return f.Observe(sys)
-	})
+	sys, err := r.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "emsim:", err)
 		os.Exit(1)
 	}
-	sys.Run(run)
 
-	if err := f.Finish(sys); err != nil {
+	if err := r.Finish(sys); err != nil {
 		fmt.Fprintln(os.Stderr, "emsim:", err)
 		os.Exit(1)
 	}
-	if rec := f.Recorder(); rec != nil && *teleFlag {
+	if *teleFlag {
 		telemetry.Analyze(c.Timeseries, telemetry.SLO{}).
 			RenderText(os.Stdout, c.Timeseries, "emsim")
 		fmt.Println()
@@ -177,9 +148,9 @@ func main() {
 		Stats kernel.Stats `json:"stats"`
 		Tasks []taskRow    `json:"tasks"`
 	}
-	cpus, lock := c.MulticoreConfig()
+	cpus, lock := r.MulticoreConfig()
 	c.Diagnostics = sys.Kernel().Diagnostics()
 	c.EmitArtifact(
-		config{*policy, *queues, *n, *u, *div, c.Seed, *ms, *standard, cpus, lock},
+		config{r.Policy, r.Queues, r.N, r.U, r.Div, c.Seed, r.Ms, r.StandardSem, cpus, lock},
 		series{sys.Stats(), tasks})
 }

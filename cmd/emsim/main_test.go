@@ -66,11 +66,46 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 	}
 }
 
+// TestFlagSurface: emsim accepts the shared run and simulator flags and
+// its own, and refuses -txt-out and -workers, which it never read (it
+// runs one node, with no harness fan-out).
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{
+		"attrib", "cpus", "csv", "div", "gantt", "json", "json-out", "lock", "ms",
+		"n", "policy", "queues", "quiet", "sample-cap", "sample-us", "seed",
+		"standard-sem", "telemetry", "trace", "trace-out", "u",
+	}, "txt-out", "workers")
+}
+
+// TestBadSamplingFlagsRefused: a sampling cadence that is negative or
+// rounds to a zero interval, or a recorder ring of one sample, exits 2
+// naming the flag. Run on them, the tool silently dropped the
+// flight recorder (-sample-us -5 -telemetry printed no summary) or
+// failed mid-run with a telemetry error and exit 1.
+func TestBadSamplingFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-sample-us", []string{"-sample-us", "-5", "-telemetry"}},
+		{"-sample-us", []string{"-sample-us", "0.0001"}},
+		{"-sample-us", []string{"-sample-us", "NaN"}},
+		{"-sample-us", []string{"-sample-us", "Inf"}},
+		{"-sample-cap", []string{"-sample-us", "100", "-sample-cap", "1"}},
+		{"-sample-cap", []string{"-sample-us", "100", "-sample-cap", "-1"}},
+		{"-cpus", []string{"-cpus", "0"}},
+		{"-lock", []string{"-lock", "foo"}},
+	} {
+		clitest.Refused(t, "bad "+tc.flag+":", append(tc.args, "-ms", "10", "-quiet")...)
+	}
+}
+
 // TestUntracedRunDropsNothing: a run that asks for no trace (no -trace,
 // -gantt, -attrib or -trace-out) keeps no trace ring, so its artifact
 // reports no dropped trace events. A one-event ring would report every
 // event but the last as dropped, claiming a truncated trace-derived view
-// the run never offered.
+// the run never offered. The artifact's run block records no worker
+// count either: emsim runs no harness fan-out.
 func TestUntracedRunDropsNothing(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "a.json")
 	clitest.Run(t, "-ms", "200", "-quiet", "-json-out", out)
@@ -83,6 +118,7 @@ func TestUntracedRunDropsNothing(t *testing.T) {
 			Counters     map[string]uint64 `json:"counters"`
 			TraceDropped uint64            `json:"trace_dropped"`
 		} `json:"diagnostics"`
+		Run map[string]any `json:"run"`
 	}
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatal(err)
@@ -92,6 +128,9 @@ func TestUntracedRunDropsNothing(t *testing.T) {
 	}
 	if d := art.Diagnostics.TraceDropped; d != 0 {
 		t.Errorf("untraced run reports %d dropped trace events, want 0", d)
+	}
+	if w, ok := art.Run["workers"]; ok {
+		t.Errorf("run block records %v workers for a tool without -workers", w)
 	}
 }
 

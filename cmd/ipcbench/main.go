@@ -1,6 +1,6 @@
 // Command ipcbench regenerates the §7 comparison (reconstructed; see
 // DESIGN.md): per-message kernel overhead of state-message IPC versus
-// mailbox IPC, across payload sizes and reader counts.
+// mailbox IPC and virtual links, across payload sizes and reader counts.
 //
 //	ipcbench -sizes 8,64 -readers 1,8
 //	ipcbench -csv -json
@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("ipcbench")
+	c := cli.Register("ipcbench", cli.Workers, cli.CSV)
 	sizes := flag.String("sizes", "8,16,32,64", "payload sizes in bytes")
 	readers := flag.String("readers", "1,2,4,8", "consumer task counts")
 	c.Parse()
@@ -34,13 +34,16 @@ func main() {
 				fmt.Sprint(p.Readers), fmt.Sprint(p.Size),
 				fmt.Sprintf("%.3f", p.StatePerMsg.Micros()),
 				fmt.Sprintf("%.3f", p.MailboxPerMsg.Micros()),
+				fmt.Sprintf("%.3f", p.VLinkPerMsg.Micros()),
 				fmt.Sprintf("%.2f", p.SpeedupX()),
 				fmt.Sprintf("%.3f", p.StateSwitchesPerMsg),
 				fmt.Sprintf("%.3f", p.MailboxSwitchesPerMsg),
+				fmt.Sprintf("%.3f", p.VLinkSwitchesPerMsg),
 			})
 		}
 		cli.WriteCSV(os.Stdout,
-			[]string{"readers", "size", "state_us_per_msg", "mailbox_us_per_msg", "speedup_x", "state_cs_per_msg", "mbox_cs_per_msg"},
+			[]string{"readers", "size", "state_us_per_msg", "mailbox_us_per_msg", "vlink_us_per_msg", "speedup_x",
+				"state_cs_per_msg", "mbox_cs_per_msg", "vlink_cs_per_msg"},
 			rows)
 	} else {
 		fmt.Print(experiments.RenderIPC(pts))

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("schedtab")
+	c := cli.Register("schedtab", cli.TxtOut)
 	table := flag.Int("table", 0, "which table (1, 2, 3); 0 = all")
 	q := flag.Int("q", 5, "Table 3: DP1 queue length")
 	r := flag.Int("r", 15, "Table 3: total DP tasks")

@@ -28,3 +28,11 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		clitest.Refused(t, "bad "+tc.flag+":", tc.args...)
 	}
 }
+
+// TestFlagSurface: schedtab accepts the flags its tables read and
+// refuses -cpus, -csv, -lock, -seed and -workers, which it never read:
+// its tables are fixed single-CPU computations with aligned output.
+func TestFlagSurface(t *testing.T) {
+	clitest.Surface(t, []string{"json", "json-out", "n", "q", "quiet", "r", "table", "txt-out"},
+		"cpus", "csv", "lock", "seed", "workers")
+}

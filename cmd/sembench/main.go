@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	c := cli.Register("sembench")
+	c := cli.Register("sembench", cli.Workers, cli.CSV)
 	queue := flag.String("queue", "both", "which queue to exercise: dp, fp, both")
 	lens := flag.String("len", "3,6,9,12,15,18,21,24,27,30", "comma-separated queue lengths (minimum 3)")
 	c.Parse()

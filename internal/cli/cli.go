@@ -1,9 +1,12 @@
 // Package cli is the shared plumbing of the cmd/ experiment tools:
-// the common flag set (-workers, -seed, -json, -csv, -quiet),
-// comma-separated integer-list parsing, aligned-table and CSV
-// rendering, and versioned JSON artifact emission under results/.
-// Keeping it here means every tool exposes the same interface and the
-// output formats live in exactly one place.
+// the shared flags (-json, -json-out and -quiet in every tool; -seed,
+// -workers, -csv and -txt-out in the tools that read them; the
+// simulator flags of SimFlags and the single-run flags of RunFlags),
+// their range checks, comma-separated integer-list parsing,
+// aligned-table and CSV rendering, and versioned JSON artifact
+// emission under results/. Keeping it here means a flag means the same
+// in every tool that takes it, a tool takes only the flags it reads,
+// and the output formats live in exactly one place.
 package cli
 
 import (
@@ -20,25 +23,25 @@ import (
 
 	"emeralds/internal/attrib"
 	"emeralds/internal/harness"
-	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/telemetry"
 	"emeralds/internal/vtime"
 )
 
-// Common holds the flags shared by every experiment command.
+// Common holds the shared flags of one experiment command.
 type Common struct {
 	Tool string // command name, used in errors and artifact metadata
 
-	Workers int    // -workers: fan-out width, 0 = all CPUs
-	Seed    int64  // -seed: base RNG seed
-	CPUs    int    // -cpus: simulated processor count (1 = classic single-CPU)
-	Lock    string // -lock: simulated lock regime (percpu, perqueue, biglock)
 	JSON    bool   // -json: write an artifact to results/<tool>.json
-	JSONOut string
-	TxtOut  string // -txt-out: mirror the rendered text to this file
-	CSV     bool   // -csv: machine-readable stdout
+	JSONOut string // -json-out: artifact path override
 	Quiet   bool   // -quiet: no progress on stderr
+
+	// Optional shared flags, registered only by the tools that name
+	// them in Register; the rest keep the zero value.
+	Seed    int64  // -seed: base RNG seed
+	Workers int    // -workers: fan-out width, 0 = all CPUs
+	CSV     bool   // -csv: machine-readable stdout
+	TxtOut  string // -txt-out: mirror the rendered text to this file
 
 	// Diagnostics, when set by the tool before EmitArtifact, is embedded
 	// in the artifact's "diagnostics" block (kernel counters + per-task
@@ -55,44 +58,60 @@ type Common struct {
 	// rendered by cmd/emstat).
 	Timeseries *telemetry.Series
 
-	start time.Time
+	start  time.Time
+	checks []func() // range checks of registered flag groups, run by Parse
 }
 
-// Register installs the shared flags on the default FlagSet. Call it
-// before defining tool-specific flags and before flag.Parse.
-func Register(tool string) *Common {
+// Shared names an optional shared flag for Register.
+type Shared int
+
+const (
+	Seed    Shared = iota // -seed: base RNG seed (default 1)
+	Workers               // -workers: harness fan-out width
+	CSV                   // -csv: CSV on stdout instead of aligned tables
+	TxtOut                // -txt-out: mirror the rendered text to a file
+)
+
+// Register installs -json, -json-out and -quiet, which every tool
+// reads, and the optional shared flags the tool names, on the default
+// FlagSet. Call it before defining tool-specific flags and before
+// Parse.
+func Register(tool string, shared ...Shared) *Common {
 	c := &Common{Tool: tool, start: time.Now()}
-	flag.IntVar(&c.Workers, "workers", 0, "parallel worker count (0 = all CPUs); results are identical for any value")
-	flag.Int64Var(&c.Seed, "seed", 1, "base RNG seed")
-	flag.IntVar(&c.CPUs, "cpus", 1, "simulated processor count (1 = classic single-CPU kernel)")
-	flag.StringVar(&c.Lock, "lock", "percpu", "simulated lock granularity on multicore runs: percpu, perqueue, biglock")
 	flag.BoolVar(&c.JSON, "json", false, fmt.Sprintf("write a versioned JSON artifact to results/%s.json", tool))
 	flag.StringVar(&c.JSONOut, "json-out", "", "artifact path override (implies -json)")
-	flag.StringVar(&c.TxtOut, "txt-out", "", "also write the rendered text output to this file")
-	flag.BoolVar(&c.CSV, "csv", false, "emit CSV to stdout instead of aligned tables")
 	flag.BoolVar(&c.Quiet, "quiet", false, "suppress progress reporting on stderr")
+	for _, s := range shared {
+		switch s {
+		case Seed:
+			flag.Int64Var(&c.Seed, "seed", 1, "base RNG seed")
+		case Workers:
+			flag.IntVar(&c.Workers, "workers", 0, "parallel worker count (0 = all CPUs); results are identical for any value")
+		case CSV:
+			flag.BoolVar(&c.CSV, "csv", false, "emit CSV to stdout instead of aligned tables")
+		case TxtOut:
+			flag.StringVar(&c.TxtOut, "txt-out", "", "also write the rendered text output to this file")
+		}
+	}
 	return c
 }
 
-// Parse wraps flag.Parse and resolves flag interactions.
+// Parse wraps flag.Parse, resolves flag interactions and runs the range
+// checks of the flag groups the tool registered (SimFlags, RunFlags).
 func (c *Common) Parse() {
 	flag.Parse()
 	if c.JSONOut != "" {
 		c.JSON = true
 	}
-	if c.CPUs < 1 {
-		c.Fatalf("bad -cpus: %d (want ≥ 1)", c.CPUs)
-	}
-	if _, err := kernel.ParseLockRegime(c.Lock); err != nil {
-		c.Fatalf("bad -lock: %v", err)
+	for _, check := range c.checks {
+		check()
 	}
 }
 
 // Explicit reports whether the named flag was set on the command line,
-// for flags whose default means "pick for me" but whose zero value is
-// also a legal explicit choice (cmd/emfuzz's -cpus: default mixes
-// M ∈ {1,2,4}, while an explicit -cpus 1 pins single-CPU scenarios).
-// Call after Parse.
+// for flags whose default is also a legal explicit choice (cmd/ablate's
+// -cpus and -lock: the defaults leave the full lock-granularity grid,
+// while an explicit -cpus 1 pins its single-CPU row). Call after Parse.
 func Explicit(name string) bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {
@@ -101,22 +120,6 @@ func Explicit(name string) bool {
 		}
 	})
 	return set
-}
-
-// LockRegime returns the parsed -lock flag (validated at Parse).
-func (c *Common) LockRegime() kernel.LockRegime {
-	r, _ := kernel.ParseLockRegime(c.Lock)
-	return r
-}
-
-// MulticoreConfig returns the (cpus, lock) pair experiment artifacts
-// should record: zero values on a single-CPU run, so pre-multicore
-// artifacts stay byte-identical under omitempty.
-func (c *Common) MulticoreConfig() (int, string) {
-	if c.CPUs <= 1 {
-		return 0, ""
-	}
-	return c.CPUs, c.Lock
 }
 
 // Progress returns the writer experiment sweeps should report
@@ -129,9 +132,13 @@ func (c *Common) Progress() io.Writer {
 }
 
 // EffectiveWorkers resolves the -workers flag the way the harness
-// does, for recording in artifacts.
+// does, for recording in artifacts. A tool without the flag runs no
+// harness fan-out and records 0, which the artifact leaves out.
 func (c *Common) EffectiveWorkers() int {
-	if c.Workers > 0 {
+	switch {
+	case flag.Lookup("workers") == nil:
+		return 0
+	case c.Workers > 0:
 		return c.Workers
 	}
 	return runtime.NumCPU()
@@ -219,6 +226,16 @@ func (c *Common) Millis(name string, ms float64) vtime.Duration {
 		c.Fatalf("bad -%s: %v (want a positive number of milliseconds)", name, ms)
 	}
 	return d
+}
+
+// Cadence exits 2 unless the virtual-microseconds sampling flag name
+// is 0 (the tool's default cadence) or at least one virtual nanosecond
+// and within a vtime.Duration. A positive value under 0.001 µs would
+// round to a zero interval, which the flight recorder refuses mid-run.
+func (c *Common) Cadence(name string, us float64) {
+	if us != 0 && !(us >= 0.001 && us < float64(vtime.Forever)/float64(vtime.Microsecond)) {
+		c.Fatalf("bad -%s: %v (want 0 for the default, or at least 0.001 µs)", name, us)
+	}
 }
 
 // Ints parses a comma-separated integer list flag, exiting 2 on a bad

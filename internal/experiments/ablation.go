@@ -108,7 +108,7 @@ func CSDCounterAblation(prof *costmodel.Profile, par Par) (vtime.Duration, vtime
 		k.Run(2 * vtime.Second)
 		return k.Stats().SchedCharge
 	}
-	both := parRun(par, "csd-counters", 0, 2,
+	both := parRun(par, "csd-counters", 2,
 		func(j harness.Job) (vtime.Duration, error) {
 			return run(j.Index == 1), nil
 		})

@@ -76,7 +76,7 @@ func BreakdownFigure(cfg BreakdownConfig) *BreakdownResult {
 	// One job per (task count, workload); the job returns the breakdown
 	// of every scheduler on that workload, in cfg.Schedulers order.
 	label := fmt.Sprintf("breakdown div%d", cfg.PeriodDiv)
-	cells := parRun(cfg.Par, label, cfg.Seed, len(cfg.Ns)*cfg.Workloads,
+	cells := parRun(cfg.Par, label, len(cfg.Ns)*cfg.Workloads,
 		func(j harness.Job) ([]float64, error) {
 			n := cfg.Ns[j.Index/cfg.Workloads]
 			specs := workload.Generate(workload.Config{

@@ -73,7 +73,7 @@ func IPCComparisonDiag(sizes, readers []int, prof *costmodel.Profile, par Par) (
 		prof = m68040
 	}
 	c := diagCollector{hist: (*kernel.Thread).Responses, metric: "response"}
-	jobs := parRun(par, "ipc", 0, len(readers)*len(sizes),
+	jobs := parRun(par, "ipc", len(readers)*len(sizes),
 		func(j harness.Job) (diagJob[IPCPoint], error) {
 			r := readers[j.Index/len(sizes)]
 			sz := sizes[j.Index%len(sizes)]

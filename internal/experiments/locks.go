@@ -148,7 +148,7 @@ func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, prof *costmodel.Prof
 			cells = append(cells, cell{m, r})
 		}
 	}
-	return parRun(par, "lock-granularity", 0, len(cells),
+	return parRun(par, "lock-granularity", len(cells),
 		func(j harness.Job) (LockPoint, error) {
 			c := cells[j.Index]
 			pt, _, err := LockCellObserved(sim.Config{

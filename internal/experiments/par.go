@@ -10,9 +10,9 @@ import (
 // Par configures the fan-out of an experiment sweep. The zero value
 // uses one worker per CPU and no progress output, so existing callers
 // can pass Par{} and get the full machine. Results never depend on
-// Workers: every sweep derives per-job randomness from stable seeds
-// (workload.SeedFor or harness.SplitSeed) and merges in job order, so
-// Par only controls wall-clock time and stderr chatter.
+// Workers: every sweep derives per-job randomness from the job index
+// (workload.SeedFor) and merges in job order, so Par only controls
+// wall-clock time and stderr chatter.
 type Par struct {
 	Workers  int       // harness worker count; <= 0 means NumCPU
 	Progress io.Writer // throughput/ETA lines (typically os.Stderr); nil = silent
@@ -27,10 +27,9 @@ var Serial = Par{Workers: 1}
 // scenario means the model itself is broken), so a job failure,
 // including a captured per-job panic, is re-raised here with its job
 // index and stack attached.
-func parRun[T any](par Par, label string, baseSeed int64, n int, fn func(job harness.Job) (T, error)) []T {
+func parRun[T any](par Par, label string, n int, fn func(job harness.Job) (T, error)) []T {
 	out, err := harness.Run(context.Background(), n, harness.Options{
 		Workers:  par.Workers,
-		BaseSeed: baseSeed,
 		Label:    label,
 		Progress: par.Progress,
 	}, func(_ context.Context, j harness.Job) (T, error) {

@@ -57,7 +57,7 @@ func QueueCountSweep(prof *costmodel.Profile, n int, xs []int, count int, seed i
 	if prof == nil {
 		prof = m68040
 	}
-	cells := parRun(par, "queue-sweep", seed, len(xs)*count,
+	cells := parRun(par, "queue-sweep", len(xs)*count,
 		func(j harness.Job) (float64, error) {
 			x := xs[j.Index/count]
 			specs := workload.Generate(workload.Config{

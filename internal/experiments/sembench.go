@@ -100,7 +100,7 @@ func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile
 // T2's blocking histograms keyed "kind/build/T2".
 func semBuildsDiag(label string, kind SemQueueKind, lens []int, builds []semBuild, prof *costmodel.Profile, par Par) ([][]vtime.Duration, *metrics.Diagnostics) {
 	c := diagCollector{hist: (*kernel.Thread).Blocking, metric: "blocking"}
-	jobs := parRun(par, label, 0, len(lens),
+	jobs := parRun(par, label, len(lens),
 		func(j harness.Job) (diagJob[[]vtime.Duration], error) {
 			var out diagJob[[]vtime.Duration]
 			out.val = make([]vtime.Duration, len(builds))

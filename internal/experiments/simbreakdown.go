@@ -89,7 +89,7 @@ func CompareSweep(prof *costmodel.Profile, ns []int, div int, seed int64, horizo
 	if prof == nil {
 		prof = m68040
 	}
-	return parRun(par, "sim-crosscheck", seed, len(ns),
+	return parRun(par, "sim-crosscheck", len(ns),
 		func(j harness.Job) (CompareSweepPoint, error) {
 			n := ns[j.Index]
 			specs := workload.Generate(workload.Config{

@@ -4,8 +4,9 @@
 // and returns the results in job order, so merges are deterministic
 // regardless of worker count or goroutine scheduling.
 //
-// Determinism contract: each job receives an RNG seed derived only
-// from (Options.BaseSeed, job index) by SplitMix64 seed-splitting, and
+// Determinism contract: a job's result must depend only on its index
+// (every sweep derives its randomness from the index through
+// workload.SeedFor or scenario.Gen, never from shared state), and
 // results are delivered to the caller indexed by job — so a sweep run
 // with -workers=1 and -workers=8 produces bit-identical output. The
 // caller must keep its merge order-dependent operations (float
@@ -27,8 +28,6 @@ import (
 type Options struct {
 	// Workers is the fan-out width; <= 0 means runtime.NumCPU().
 	Workers int
-	// BaseSeed is split per job into Job.Seed (see SplitSeed).
-	BaseSeed int64
 	// Label prefixes progress lines ("figure3: 120/5000 ...").
 	Label string
 	// Progress, when non-nil, receives one-line throughput/ETA
@@ -45,12 +44,9 @@ type Options struct {
 // Job identifies one unit of work handed to the run function.
 type Job struct {
 	// Index is the job's position in [0, n); results are returned in
-	// this order.
+	// this order. Jobs must derive all randomness from it (and never
+	// from shared state) to keep runs worker-count independent.
 	Index int
-	// Seed is the job's private RNG seed, SplitSeed(BaseSeed, Index).
-	// Jobs must derive all randomness from it (and never from shared
-	// state) to keep runs worker-count independent.
-	Seed int64
 }
 
 // PanicError wraps a panic captured inside a job so one bad parameter
@@ -129,7 +125,7 @@ func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 				fail(i, &PanicError{Index: i, Value: v, Stack: buf})
 			}
 		}()
-		res, err := fn(ctx, Job{Index: i, Seed: SplitSeed(opts.BaseSeed, i)})
+		res, err := fn(ctx, Job{Index: i})
 		if err != nil {
 			fail(i, err)
 			return

@@ -75,9 +75,9 @@ func TestScrapePprofAlive(t *testing.T) {
 
 func TestScrapeDoesNotChangeResults(t *testing.T) {
 	run := func(s *Scrape) []int {
-		res, err := Run(context.Background(), 50, Options{Workers: 8, BaseSeed: 42, Scrape: s},
+		res, err := Run(context.Background(), 50, Options{Workers: 8, Scrape: s},
 			func(ctx context.Context, job Job) (int, error) {
-				return int(job.Seed % 1000), nil
+				return job.Index * job.Index % 1000, nil
 			})
 		if err != nil {
 			t.Fatal(err)

@@ -73,7 +73,6 @@ type campaignJob struct {
 func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
 	jobs, err := harness.Run(ctx, cfg.Scenarios, harness.Options{
 		Workers:  cfg.Workers,
-		BaseSeed: cfg.BaseSeed,
 		Label:    "emfuzz",
 		Progress: cfg.Progress,
 		Scrape:   cfg.Scrape,

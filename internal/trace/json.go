@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 
 	"emeralds/internal/vtime"
@@ -42,8 +41,8 @@ type RawLog struct {
 
 // writeRaw streams the retained events as a RawLog object, byte for
 // byte what encoding/json writes for one (struct fields in declaration
-// order, omitempty members left out). Log.ExportJSON and the Perfetto
-// export's embedded block both use it.
+// order, omitempty members left out): the Perfetto export's embedded
+// block.
 func (l *Log) writeRaw(j *jsonWriter) {
 	b := append(j.buf, `{"schema":`...)
 	b = appendString(b, RawSchema)
@@ -84,17 +83,6 @@ func (l *Log) writeRaw(j *jsonWriter) {
 		}
 	}
 	j.lit("]}")
-}
-
-// ExportJSON writes the retained events as versioned raw-trace JSON.
-func (l *Log) ExportJSON(w io.Writer) error {
-	if l == nil {
-		return fmt.Errorf("trace: nil log")
-	}
-	j := newJSONWriter(w)
-	l.writeRaw(&j)
-	j.lit("\n")
-	return j.flush()
 }
 
 // kindByName inverts kindNames; built once, read-only afterwards.

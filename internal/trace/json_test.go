@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -35,7 +36,9 @@ func TestDroppedCounter(t *testing.T) {
 }
 
 // TestRawJSONRoundTrip: events survive the raw JSON encoding exactly,
-// including the Dur payload and nanosecond timestamps.
+// including the Dur payload and nanosecond timestamps, and ParseJSON
+// reads a bare raw log (the form of the syncheck fuzz corpus) as well
+// as the one a Perfetto export embeds.
 func TestRawJSONRoundTrip(t *testing.T) {
 	l := New(16)
 	l.Add(0, TaskInfo, "a", "prio=0 period=4000000 deadline=4000000")
@@ -44,11 +47,11 @@ func TestRawJSONRoundTrip(t *testing.T) {
 	l.AddDur(1234567, Preempt, "a", "for b", 321)
 	l.AddDur(2000000, Complete, "a", "", 97)
 
-	var buf bytes.Buffer
-	if err := l.ExportJSON(&buf); err != nil {
+	bare, err := json.Marshal(refRaw(l))
+	if err != nil {
 		t.Fatal(err)
 	}
-	events, dropped, err := ParseJSON(buf.Bytes())
+	events, dropped, err := ParseJSON(bare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestDroppedTravelsThroughJSON(t *testing.T) {
 		l.Add(vtime.Time(i), Dispatch, "x", "")
 	}
 	var buf bytes.Buffer
-	if err := l.ExportJSON(&buf); err != nil {
+	if err := l.ExportPerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	_, dropped, err := ParseJSON(buf.Bytes())

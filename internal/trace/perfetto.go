@@ -324,18 +324,10 @@ func (p *perfettoWriter) traceEvents(segs [][]Event) {
 	p.lit("]")
 }
 
-// ExportPerfetto writes events as Chrome/Perfetto trace-event JSON.
-func ExportPerfetto(w io.Writer, events []Event) error {
-	p := newPerfettoWriter(w)
-	p.lit(`{"displayTimeUnit":"ms",`)
-	p.traceEvents([][]Event{events})
-	p.lit("}\n")
-	return p.flush()
-}
-
-// ExportPerfetto exports a log's retained events, embedding the raw
-// event log under "emeraldsTrace" (ignored by Perfetto, replayable by
-// cmd/emreport and package attrib — one file serves both).
+// ExportPerfetto writes a log's retained events as Chrome/Perfetto
+// trace-event JSON, embedding the raw event log under "emeraldsTrace"
+// (ignored by Perfetto, replayable by cmd/emreport and package attrib —
+// one file serves both).
 func (l *Log) ExportPerfetto(w io.Writer) error {
 	if l == nil {
 		return fmt.Errorf("trace: nil log")

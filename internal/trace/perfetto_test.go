@@ -18,7 +18,7 @@ import (
 func perfettoDoc(t *testing.T, events []Event) (raw []byte, evs []map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ExportPerfetto(&buf, events); err != nil {
+	if err := logOf(events).ExportPerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -518,9 +518,11 @@ func randomLog(rng *rand.Rand, n, cpus, capacity int) *Log {
 }
 
 // TestExportMatchesEncodingJSON: on random logs of 1–4 CPUs, wrapped
-// and unwrapped, both ExportPerfetto forms and ExportJSON write exactly
-// the bytes encoding/json writes for the reference documents. The last
-// log is large enough to span several flushed chunks.
+// and unwrapped, the export writes exactly the bytes encoding/json
+// writes for the reference document, member by member: the traceEvents
+// array (the Perfetto writer) and the emeraldsTrace raw log (the raw
+// writer). The last log is large enough to span several flushed
+// chunks.
 func TestExportMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i <= 400; i++ {
@@ -529,37 +531,37 @@ func TestExportMatchesEncodingJSON(t *testing.T) {
 			n, capacity = 4000, 3000
 		}
 		l := randomLog(rng, n, cpus, capacity)
-		events := l.Events()
-		raw := refRaw(l)
-
-		var bare, full, rawOut bytes.Buffer
-		if err := ExportPerfetto(&bare, events); err != nil {
-			t.Fatal(err)
-		}
+		var full bytes.Buffer
 		if err := l.ExportPerfetto(&full); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.ExportJSON(&rawOut); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name      string
-			got, want []byte
-		}{
-			{"ExportPerfetto", bare.Bytes(), encodeRef(t, buildPerfettoDoc(events, nil))},
-			{"Log.ExportPerfetto", full.Bytes(), encodeRef(t, buildPerfettoDoc(events, map[string]any{"emeraldsTrace": raw}))},
-			{"Log.ExportJSON", rawOut.Bytes(), encodeRef(t, raw)},
-		} {
-			if !bytes.Equal(c.got, c.want) {
+		want := encodeRef(t, buildPerfettoDoc(l.Events(), map[string]any{"emeraldsTrace": refRaw(l)}))
+		gotMembers, wantMembers := members(t, full.Bytes()), members(t, want)
+		for _, m := range []string{"traceEvents", "emeraldsTrace"} {
+			got, want := gotMembers[m], wantMembers[m]
+			if !bytes.Equal(got, want) {
 				at := 0
-				for at < len(c.got) && at < len(c.want) && c.got[at] == c.want[at] {
+				for at < len(got) && at < len(want) && got[at] == want[at] {
 					at++
 				}
 				t.Fatalf("log %d (%d events, %d CPUs, capacity %d): %s differs from encoding/json at byte %d\ngot:  %.200s\nwant: %.200s",
-					i, n, cpus, capacity, c.name, at, c.got[at:], c.want[at:])
+					i, n, cpus, capacity, m, at, got[at:], want[at:])
 			}
 		}
+		if !bytes.Equal(full.Bytes(), want) {
+			t.Fatalf("log %d: the document around the members differs from encoding/json", i)
+		}
 	}
+}
+
+// members splits a JSON object into its members' exact bytes.
+func members(t *testing.T, doc []byte) map[string]json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	return m
 }
 
 // failWriter accepts ok writes, then fails every later one.
@@ -583,17 +585,12 @@ func (f *failWriter) Write(p []byte) (int, error) {
 // writing to it.
 func TestExportReturnsFirstWriteError(t *testing.T) {
 	l := randomLog(rand.New(rand.NewSource(2)), 5000, 2, 5000)
-	for name, export := range map[string]func(io.Writer) error{
-		"ExportPerfetto": l.ExportPerfetto,
-		"ExportJSON":     l.ExportJSON,
-	} {
-		w := &failWriter{ok: 1}
-		if err := export(w); !errors.Is(err, errSink) {
-			t.Errorf("%s: err = %v, want %v", name, err, errSink)
-		}
-		if w.writes != 2 {
-			t.Errorf("%s: %d writes, want 2 (stop after the first failure)", name, w.writes)
-		}
+	w := &failWriter{ok: 1}
+	if err := l.ExportPerfetto(w); !errors.Is(err, errSink) {
+		t.Errorf("err = %v, want %v", err, errSink)
+	}
+	if w.writes != 2 {
+		t.Errorf("%d writes, want 2 (stop after the first failure)", w.writes)
 	}
 }
 

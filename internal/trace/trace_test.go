@@ -188,15 +188,9 @@ func TestRingGrowthBoundaries(t *testing.T) {
 				t.Errorf("%s: dropped %d, want %d", label, l.Dropped(), dropped)
 			}
 			raw := rawOf(want, uint64(n), dropped)
-			var js, pf bytes.Buffer
-			if err := l.ExportJSON(&js); err != nil {
-				t.Fatal(err)
-			}
+			var pf bytes.Buffer
 			if err := l.ExportPerfetto(&pf); err != nil {
 				t.Fatal(err)
-			}
-			if !bytes.Equal(js.Bytes(), encodeRef(t, raw)) {
-				t.Fatalf("%s: ExportJSON differs from the reference ring's", label)
 			}
 			if !bytes.Equal(pf.Bytes(), encodeRef(t, buildPerfettoDoc(want, map[string]any{"emeraldsTrace": raw}))) {
 				t.Fatalf("%s: ExportPerfetto differs from the reference ring's", label)

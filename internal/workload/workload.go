@@ -9,7 +9,6 @@ package workload
 import (
 	"math/rand"
 
-	"emeralds/internal/harness"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
 )
@@ -100,38 +99,31 @@ func Generate(cfg Config) []task.Spec {
 	return specs
 }
 
-// AchievedUtilization is task.TotalUtilization for a generated set —
-// named here so fuzz sweeps read as "the utilization Generate actually
-// delivered", which the clamp renormalization keeps within rounding of
-// the requested target whenever the clamps leave it reachable.
-func AchievedUtilization(specs []task.Spec) float64 { return task.TotalUtilization(specs) }
-
 // SeedFor derives the RNG seed of workload i of an n-task sweep from
 // the base seed. The derivation is a pure function of (base, n, i) —
 // SplitMix64 seed-splitting, one mixing round per component — so the
 // i-th workload at a given n is the same task set whether it is
 // generated serially, by any parallel worker, or as part of a sweep
-// over a different (overlapping) -n list. It replaces the old additive
-// scheme (base + n·1000003 at the sweep layer plus + i·7919 in Batch),
-// whose two halves could collide across (n, i) pairs and lived in
-// different packages.
+// over a different (overlapping) -n list.
 func SeedFor(base int64, n, i int) int64 {
-	x := harness.SplitMix64(uint64(base))
-	x = harness.SplitMix64(x ^ uint64(n))
-	x = harness.SplitMix64(x ^ uint64(i))
+	x := splitMix64(uint64(base))
+	x = splitMix64(x ^ uint64(n))
+	x = splitMix64(x ^ uint64(i))
 	return int64(x)
 }
 
-// Batch generates `count` independent workloads, workload i seeded
-// with SeedFor(cfg.Seed, cfg.N, i).
-func Batch(cfg Config, count int) [][]task.Spec {
-	out := make([][]task.Spec, count)
-	for i := range out {
-		c := cfg
-		c.Seed = SeedFor(cfg.Seed, cfg.N, i)
-		out[i] = Generate(c)
-	}
-	return out
+// splitMix64 is the finalizer of Steele, Lea & Flood's SplitMix64
+// generator — a full-avalanche 64-bit mixer. It is the repo's standard
+// way to split one base seed into many statistically independent
+// per-job streams without any sequential dependence between jobs.
+func splitMix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }
 
 // Table2 returns a 10-task workload with the properties the paper

@@ -97,7 +97,7 @@ func TestGenerateAchievedTracksTarget(t *testing.T) {
 		{20, 2, 0.999, 5},
 	} {
 		specs := Generate(Config{N: tc.n, PeriodDiv: tc.div, Utilization: tc.u, Seed: tc.seed})
-		got := AchievedUtilization(specs)
+		got := task.TotalUtilization(specs)
 		if math.Abs(got-tc.u) > 0.005 {
 			t.Errorf("n=%d div=%d target %.3f: achieved %.4f (drift %.4f)",
 				tc.n, tc.div, tc.u, got, got-tc.u)
@@ -194,37 +194,43 @@ func TestSeedFor(t *testing.T) {
 		t.Error("base seed ignored")
 	}
 
-	// Batch(cfg, k) must equal the per-index Generate calls the
-	// parallel path performs.
-	cfg := Config{N: 10, Seed: 7, Utilization: 0.5}
-	batch := Batch(cfg, 4)
-	for i := range batch {
-		c := cfg
-		c.Seed = SeedFor(cfg.Seed, cfg.N, i)
-		solo := Generate(c)
-		for j := range solo {
-			if solo[j].Period != batch[i][j].Period || solo[j].WCET != batch[i][j].WCET {
-				t.Fatalf("workload %d task %d: Batch %+v vs Generate %+v", i, j, batch[i][j], solo[j])
-			}
-		}
+	// The values the committed figures and perfbench's goldens were
+	// generated with.
+	if got := SeedFor(1, 10, 3); got != -1323249483549841551 {
+		t.Errorf("SeedFor(1,10,3) = %d, want -1323249483549841551", got)
+	}
+	if got := SeedFor(7919, 50, 499); got != 6075370221368381708 {
+		t.Errorf("SeedFor(7919,50,499) = %d, want 6075370221368381708", got)
 	}
 }
 
-func TestBatchIndependentStreams(t *testing.T) {
-	b := Batch(Config{N: 10, Seed: 1, Utilization: 0.5}, 5)
-	if len(b) != 5 {
-		t.Fatalf("batch size %d", len(b))
+// TestSplitMix64: the mixer is the published generator's finalizer.
+func TestSplitMix64(t *testing.T) {
+	// Reference value (state 0 advanced once) from the published
+	// generator: splitmix64(0) = 0xE220A8397B1DCDAF.
+	if got := splitMix64(0); got != 0xE220A8397B1DCDAF {
+		t.Errorf("splitMix64(0) = %#x, want 0xE220A8397B1DCDAF", got)
 	}
-	for i := 1; i < len(b); i++ {
+}
+
+// TestSeedForIndependentStreams: the workloads a sweep generates at one
+// n, each from SeedFor of its index, are distinct task sets.
+func TestSeedForIndependentStreams(t *testing.T) {
+	gen := func(i int) []task.Spec {
+		return Generate(Config{N: 10, Seed: SeedFor(1, 10, i), Utilization: 0.5})
+	}
+	first := gen(0)
+	for i := 1; i < 5; i++ {
+		w := gen(i)
 		same := true
-		for j := range b[i] {
-			if b[i][j].Period != b[0][j].Period || b[i][j].WCET != b[0][j].WCET {
+		for j := range w {
+			if w[j].Period != first[j].Period || w[j].WCET != first[j].WCET {
 				same = false
 				break
 			}
 		}
 		if same {
-			t.Errorf("batch member %d identical to member 0", i)
+			t.Errorf("workload %d identical to workload 0", i)
 		}
 	}
 }

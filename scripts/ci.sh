@@ -137,11 +137,11 @@ go run ./scripts/artifactdiff "$tmp/fuzz4.json" "$tmp/fuzz4w1.json"
 
 echo "== telemetry determinism gate =="
 # The flight recorder is a pure observer: a sampled emsim artifact's
-# timeseries block must be byte-identical across harness fan-out and
-# host parallelism (artifactdiff ignores only the volatile "run" key),
-# and emstat must be able to replay it into an SLO report.
-GOMAXPROCS=1 go run ./cmd/emsim -ms 200 -sample-us 500 -workers 1 -quiet -json-out "$tmp/ts1.json" >/dev/null
-GOMAXPROCS=8 go run ./cmd/emsim -ms 200 -sample-us 500 -workers 8 -quiet -json-out "$tmp/ts8.json" >/dev/null
+# timeseries block must be byte-identical across host parallelism
+# (artifactdiff ignores only the volatile "run" key), and emstat must be
+# able to replay it into an SLO report.
+GOMAXPROCS=1 go run ./cmd/emsim -ms 200 -sample-us 500 -quiet -json-out "$tmp/ts1.json" >/dev/null
+GOMAXPROCS=8 go run ./cmd/emsim -ms 200 -sample-us 500 -quiet -json-out "$tmp/ts8.json" >/dev/null
 go run ./scripts/artifactdiff "$tmp/ts1.json" "$tmp/ts8.json"
 grep -q '"schema": "emeralds.timeseries/v1"' "$tmp/ts1.json"
 go run ./cmd/emstat "$tmp/ts1.json" >/dev/null
