@@ -115,7 +115,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var r experiments.Figure2Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Figure2(nil)
+		r = experiments.Figure2()
 	}
 	b.ReportMetric(float64(r.RMMisses), "rm-misses")
 	b.ReportMetric(float64(r.EDFMisses), "edf-misses")
@@ -127,7 +127,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var entries []experiments.Table3Entry
 	for i := 0; i < b.N; i++ {
-		entries = experiments.Table3(nil, 5, 15, 30)
+		entries = experiments.Table3(5, 15, 30)
 	}
 	for _, e := range entries {
 		if e.Event == "block" {
@@ -187,7 +187,7 @@ func BenchmarkHarnessFanout(b *testing.B) {
 func benchSemFigure(b *testing.B, kind experiments.SemQueueKind) {
 	var pts []experiments.SemPoint
 	for i := 0; i < b.N; i++ {
-		pts, _ = experiments.SemOverheadCurveDiag(kind, []int{15}, nil, experiments.Serial)
+		pts, _ = experiments.SemOverheadCurveDiag(kind, []int{15}, experiments.Serial)
 	}
 	b.ReportMetric(pts[0].Standard.Micros(), "standard-µs@15")
 	b.ReportMetric(pts[0].Optimized.Micros(), "optimized-µs@15")
@@ -204,7 +204,7 @@ func BenchmarkFigure12(b *testing.B) { benchSemFigure(b, experiments.FPQueue) }
 func BenchmarkIPCComparison(b *testing.B) {
 	var pts []experiments.IPCPoint
 	for i := 0; i < b.N; i++ {
-		pts, _ = experiments.IPCComparisonDiag([]int{8}, []int{4}, nil, experiments.Serial)
+		pts, _ = experiments.IPCComparisonDiag([]int{8}, []int{4}, experiments.Serial)
 	}
 	b.ReportMetric(pts[0].StatePerMsg.Micros(), "state-µs/msg")
 	b.ReportMetric(pts[0].MailboxPerMsg.Micros(), "mailbox-µs/msg")
@@ -309,7 +309,7 @@ func BenchmarkMigrationOp(b *testing.B) {
 	var migs uint64
 	var charge vtime.Duration
 	for i := 0; i < b.N; i++ {
-		migs, charge = experiments.MigrationPingPong(nil, 20*vtime.Millisecond)
+		migs, charge = experiments.MigrationPingPong(20 * vtime.Millisecond)
 	}
 	if migs == 0 {
 		b.Fatal("no migrations landed")
@@ -355,7 +355,7 @@ func BenchmarkAblationSemScheme(b *testing.B) {
 		b.Run(string(kind), func(b *testing.B) {
 			var pts []experiments.SemAblationPoint
 			for i := 0; i < b.N; i++ {
-				pts, _ = experiments.SemAblationDiag(kind, []int{15}, nil, experiments.Serial)
+				pts, _ = experiments.SemAblationDiag(kind, []int{15}, experiments.Serial)
 			}
 			p := pts[0]
 			b.ReportMetric(p.Standard.Micros(), "standard-µs")
@@ -370,7 +370,7 @@ func BenchmarkAblationSemScheme(b *testing.B) {
 func BenchmarkAblationCSDCounters(b *testing.B) {
 	var with, without vtime.Duration
 	for i := 0; i < b.N; i++ {
-		with, without = experiments.CSDCounterAblation(nil, experiments.Serial)
+		with, without = experiments.CSDCounterAblation(experiments.Serial)
 	}
 	b.ReportMetric(with.Millis(), "with-counters-ms")
 	b.ReportMetric(without.Millis(), "without-counters-ms")

@@ -46,7 +46,7 @@ func main() {
 
 	semSeries := map[string][]experiments.SemAblationPoint{}
 	for _, kind := range []experiments.SemQueueKind{experiments.DPQueue, experiments.FPQueue} {
-		pts, diag := experiments.SemAblationDiag(kind, ls, nil, par)
+		pts, diag := experiments.SemAblationDiag(kind, ls, par)
 		semSeries[string(kind)] = pts
 		if c.Diagnostics == nil {
 			c.Diagnostics = diag
@@ -59,7 +59,7 @@ func main() {
 		}
 	}
 
-	with, without := experiments.CSDCounterAblation(nil, par)
+	with, without := experiments.CSDCounterAblation(par)
 	saving := 100 * float64(without-with) / float64(without)
 	if !c.CSV {
 		fmt.Println("CSD ready-counter ablation (total scheduler charge, 2 s run,")
@@ -70,7 +70,7 @@ func main() {
 		fmt.Println()
 	}
 
-	lockPts := experiments.LockGrid(lcs, regimes, nil, lockMs64, par)
+	lockPts := experiments.LockGrid(lcs, regimes, lockMs64, par)
 	if !c.CSV {
 		fmt.Print(experiments.RenderLockGranularity(lockMs64, lockPts))
 		fmt.Println()
@@ -91,7 +91,7 @@ func main() {
 	}
 
 	xs := []int{1, 2, 3, 4, 6, 8, 12, 20, 29}
-	sweep := experiments.QueueCountSweep(nil, *sweepN, xs, *sweepCount, c.Seed, par)
+	sweep := experiments.QueueCountSweep(*sweepN, xs, *sweepCount, c.Seed, par)
 	if c.CSV {
 		var rows [][]string
 		for _, kind := range []string{"dp", "fp"} {

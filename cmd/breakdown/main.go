@@ -33,15 +33,10 @@ func main() {
 	c.AtLeast("div", *div, 1)
 	c.AtLeast("workloads", *workloads, 1)
 
-	// One profile drives everything: the analytic sweep and, under
-	// -sim, the simulation cross-check (which previously defaulted to
-	// its own profile while the sweep used another).
-	prof := costmodel.M68040()
 	cfg := experiments.BreakdownConfig{
 		PeriodDiv: *div,
 		Workloads: *workloads,
 		Seed:      c.Seed,
-		Profile:   prof,
 		Par:       experiments.Par{Workers: c.Workers, Progress: c.Progress()},
 	}
 	if *ns != "" {
@@ -70,7 +65,7 @@ func main() {
 
 	var sim []experiments.CompareSweepPoint
 	if *simulate {
-		sim = experiments.CompareSweep(prof, res.Ns, *div, c.Seed, 2*vtime.Second, cfg.Par)
+		sim = experiments.CompareSweep(res.Ns, *div, c.Seed, 2*vtime.Second, cfg.Par)
 		if !c.CSV {
 			fmt.Println("\nsimulation cross-check (workload 0 of each n, horizon 2 s):")
 			fmt.Printf("%6s %12s %12s %12s %12s\n", "n", "EDF-analytic", "EDF-sim", "RM-analytic", "RM-sim")
@@ -95,6 +90,6 @@ func main() {
 		SimCheck     []experiments.CompareSweepPoint `json:"sim_crosscheck,omitempty"`
 	}
 	c.EmitArtifact(
-		config{*div, res.Cfg.Workloads, c.Seed, res.Cfg.Schedulers, prof.Name},
+		config{*div, res.Cfg.Workloads, c.Seed, res.Cfg.Schedulers, costmodel.M68040().Name},
 		series{res.Ns, res.Series, sim})
 }

@@ -31,9 +31,17 @@ func main() {
 	attribFlag := flag.Bool("attrib", false, "print the latency-attribution report and embed it in the -json artifact")
 	teleFlag := flag.Bool("telemetry", false, "print the telemetry summary (sparklines, SLO verdicts, change points); implies a default -sample-us")
 	c.Parse()
+	c.AtLeast("trace", *traceN, 0)
+	if *gantt != 0 {
+		c.Millis("gantt", *gantt)
+	}
 	if *teleFlag && r.SampleUs == 0 {
-		// Default cadence: 512 samples across the run.
+		// Default cadence: 512 samples across the run. Under one
+		// virtual nanosecond the flight recorder would refuse it mid-run.
 		r.SampleUs = r.Ms * 1000 / 512
+		if r.SampleUs < 0.001 {
+			c.Fatalf("bad -ms: %v is too short for -telemetry's default cadence of 512 samples per run (want ≥ 0.000512, or set -sample-us)", r.Ms)
+		}
 	}
 
 	cfg := r.Config()

@@ -45,9 +45,11 @@ func TestGoldenExport(t *testing.T) {
 	}
 }
 
-// TestBadNumericFlagsRefused: a run length that simulates nothing, or a
-// workload flag out of range, exits 2 naming the flag; run on it, the
-// tool would print an empty or substituted run with status 0.
+// TestBadNumericFlagsRefused: a run length that simulates nothing, a
+// workload flag out of range, a run too short for -telemetry's default
+// cadence, or a negative or non-finite -trace or -gantt exits 2 naming
+// the flag; run on it, the tool would print an empty or substituted run
+// with status 0, or fail mid-run with status 1.
 func TestBadNumericFlagsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -61,6 +63,11 @@ func TestBadNumericFlagsRefused(t *testing.T) {
 		{"-n", []string{"-n", "-3", "-ms", "10"}},
 		{"-u", []string{"-n", "5", "-u", "0", "-ms", "10"}},
 		{"-div", []string{"-n", "5", "-div", "0", "-ms", "10"}},
+		{"-ms", []string{"-ms", "0.0001", "-telemetry"}},
+		{"-trace", []string{"-trace", "-5", "-ms", "10"}},
+		{"-gantt", []string{"-gantt", "-3", "-ms", "10"}},
+		{"-gantt", []string{"-gantt", "NaN", "-ms", "10"}},
+		{"-gantt", []string{"-gantt", "Inf", "-ms", "10"}},
 	} {
 		clitest.Refused(t, "bad "+tc.flag+":", append(tc.args, "-quiet")...)
 	}

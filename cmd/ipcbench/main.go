@@ -23,7 +23,7 @@ func main() {
 	szs := c.Ints("sizes", *sizes, 1)
 	rds := c.Ints("readers", *readers, 1)
 
-	pts, diag := experiments.IPCComparisonDiag(szs, rds, nil,
+	pts, diag := experiments.IPCComparisonDiag(szs, rds,
 		experiments.Par{Workers: c.Workers, Progress: c.Progress()})
 	c.Diagnostics = diag
 

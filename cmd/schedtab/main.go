@@ -41,18 +41,18 @@ func main() {
 	var s series
 	var out strings.Builder
 	if *table == 0 || *table == 1 {
-		s.Table1 = experiments.Table1(nil)
+		s.Table1 = experiments.Table1()
 		out.WriteString(experiments.RenderTable1(s.Table1))
 		out.WriteString("\n")
 	}
 	if *table == 0 || *table == 2 {
-		fig := experiments.Figure2(nil)
+		fig := experiments.Figure2()
 		s.Figure2 = &fig
 		out.WriteString(fig.Render())
 		out.WriteString("\n")
 	}
 	if *table == 0 || *table == 3 {
-		s.Table3 = experiments.Table3(nil, *q, *r, *n)
+		s.Table3 = experiments.Table3(*q, *r, *n)
 		out.WriteString(experiments.RenderTable3(s.Table3, *q, *r, *n))
 	}
 	fmt.Print(out.String())

@@ -45,7 +45,7 @@ func main() {
 	series := map[string][]experiments.SemPoint{}
 	var csvRows [][]string
 	for _, kind := range kinds {
-		pts, diag := experiments.SemOverheadCurveDiag(kind, ls, nil, par)
+		pts, diag := experiments.SemOverheadCurveDiag(kind, ls, par)
 		series[string(kind)] = pts
 		if c.Diagnostics == nil {
 			c.Diagnostics = diag

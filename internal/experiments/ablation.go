@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
@@ -42,8 +41,8 @@ var semAblationBuilds = []semBuild{
 // diagnostics block: counters summed over all four builds and T2's
 // blocking-time histograms keyed by kind and build ("dp/hint-only/T2"),
 // folded in job order so the result is worker-count independent.
-func SemAblationDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemAblationPoint, *metrics.Diagnostics) {
-	overheads, d := semBuildsDiag("sem-ablation-"+string(kind), kind, lens, semAblationBuilds, prof, par)
+func SemAblationDiag(kind SemQueueKind, lens []int, par Par) ([]SemAblationPoint, *metrics.Diagnostics) {
+	overheads, d := semBuildsDiag("sem-ablation-"+string(kind), kind, lens, semAblationBuilds, par)
 	pts := make([]SemAblationPoint, len(lens))
 	for i, o := range overheads {
 		pts[i] = SemAblationPoint{
@@ -74,16 +73,13 @@ func RenderSemAblation(kind SemQueueKind, pts []SemAblationPoint) string {
 // are frequently empty (long-period DP tasks), with and without the
 // counters. Returns (withCounters, withoutCounters) total overhead.
 // The two builds run as a two-job harness sweep.
-func CSDCounterAblation(prof *costmodel.Profile, par Par) (vtime.Duration, vtime.Duration) {
-	if prof == nil {
-		prof = m68040
-	}
+func CSDCounterAblation(par Par) (vtime.Duration, vtime.Duration) {
 	run := func(disable bool) vtime.Duration {
-		pol := sched.NewCSD(prof, sched.Partition{DPSizes: []int{4, 4}})
+		pol := sched.NewCSD(m68040, sched.Partition{DPSizes: []int{4, 4}})
 		if disable {
 			pol.DisableReadyCounters()
 		}
-		k := kernel.NewNode(sim.Config{Profile: prof, StandardSem: true, NoParser: true})
+		k := kernel.NewNode(sim.Config{Profile: m68040, StandardSem: true})
 		k.OverrideScheduler(pol)
 		// DP tasks: short jobs, so their queues sit empty most of the
 		// time; FP tasks do the bulk of the running — the regime the

@@ -11,7 +11,7 @@ import (
 // full scheme must dominate both partial builds.
 func TestSemAblationDecomposition(t *testing.T) {
 	for _, kind := range []SemQueueKind{DPQueue, FPQueue} {
-		pts, _ := SemAblationDiag(kind, []int{15, 30}, nil, Par{})
+		pts, _ := SemAblationDiag(kind, []int{15, 30}, Par{})
 		for _, p := range pts {
 			if p.Full >= p.Standard {
 				t.Errorf("%s len %d: full %v not below standard %v", kind, p.QueueLen, p.Full, p.Standard)
@@ -34,18 +34,18 @@ func TestSemAblationDecomposition(t *testing.T) {
 // targets the *sorted* FP queue; on the unsorted DP queue PI is O(1)
 // anyway, so disabling it must not change the DP result.
 func TestSemAblationPlaceholderMattersOnFPOnly(t *testing.T) {
-	dps, _ := SemAblationDiag(DPQueue, []int{20}, nil, Par{})
+	dps, _ := SemAblationDiag(DPQueue, []int{20}, Par{})
 	dp := dps[0]
 	if dp.Full != dp.HintOnly {
 		t.Errorf("DP: full %v != hint-only %v, but DP PI is O(1) regardless", dp.Full, dp.HintOnly)
 	}
-	fps, _ := SemAblationDiag(FPQueue, []int{20}, nil, Par{})
+	fps, _ := SemAblationDiag(FPQueue, []int{20}, Par{})
 	fp := fps[0]
 	if fp.HintOnly <= fp.Full {
 		t.Errorf("FP: hint-only %v should exceed full %v (reposition scans remain)", fp.HintOnly, fp.Full)
 	}
 	// And the placeholder contribution must grow with queue length on FP.
-	fp30s, _ := SemAblationDiag(FPQueue, []int{30}, nil, Par{})
+	fp30s, _ := SemAblationDiag(FPQueue, []int{30}, Par{})
 	fp30 := fp30s[0]
 	gain20 := fp.HintOnly - fp.Full
 	gain30 := fp30.HintOnly - fp30.Full
@@ -57,7 +57,7 @@ func TestSemAblationPlaceholderMattersOnFPOnly(t *testing.T) {
 // TestCSDCounterAblation: removing the ready counters must make
 // selection strictly more expensive in the empty-DP regime.
 func TestCSDCounterAblation(t *testing.T) {
-	with, without := CSDCounterAblation(nil, Par{})
+	with, without := CSDCounterAblation(Par{})
 	if with <= 0 {
 		t.Fatal("degenerate run")
 	}
@@ -76,8 +76,8 @@ func TestCSDCounterAblation(t *testing.T) {
 // mechanisms enabled, histograms recorded for its diagnostics) must
 // equal the standard harness's optimized scenario.
 func TestSemAblatedMatchesSemScenario(t *testing.T) {
-	a := SemScenario(FPQueue, 12, true, nil)
-	pts, _ := SemAblationDiag(FPQueue, []int{12}, nil, Par{})
+	a := SemScenario(FPQueue, 12, true)
+	pts, _ := SemAblationDiag(FPQueue, []int{12}, Par{})
 	if b := pts[0].Full; a != b {
 		t.Errorf("mismatch: %v vs %v", a, b)
 	}
@@ -96,7 +96,7 @@ func TestQueueCountSweepRisesThenFalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	pts := QueueCountSweep(nil, 30, []int{1, 2, 3, 4, 8, 20, 29}, 8, 5, Par{})
+	pts := QueueCountSweep(30, []int{1, 2, 3, 4, 8, 20, 29}, 8, 5, Par{})
 	byX := map[int]float64{}
 	for _, p := range pts {
 		byX[p.X] = p.Breakdown

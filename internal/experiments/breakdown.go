@@ -24,7 +24,6 @@ type BreakdownConfig struct {
 	PeriodDiv int   // 1 (Figure 3), 2 (Figure 4), 3 (Figure 5)
 	Workloads int   // workloads per point (paper: 500)
 	Seed      int64
-	Profile   *costmodel.Profile
 	// Schedulers to include; nil = the paper's five.
 	Schedulers []string
 	// Par controls the fan-out; the zero value uses every CPU. The
@@ -62,9 +61,6 @@ func BreakdownFigure(cfg BreakdownConfig) *BreakdownResult {
 	if cfg.Workloads <= 0 {
 		cfg.Workloads = 100
 	}
-	if cfg.Profile == nil {
-		cfg.Profile = m68040
-	}
 	if len(cfg.Schedulers) == 0 {
 		cfg.Schedulers = BreakdownSchedulers
 	}
@@ -87,7 +83,7 @@ func BreakdownFigure(cfg BreakdownConfig) *BreakdownResult {
 			})
 			vals := make([]float64, len(cfg.Schedulers))
 			for si, name := range cfg.Schedulers {
-				vals[si] = breakdownFor(cfg.Profile, name, specs)
+				vals[si] = breakdownFor(m68040, name, specs)
 			}
 			return vals, nil
 		})

@@ -9,6 +9,7 @@ import (
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/vtime"
+	"emeralds/internal/workload"
 )
 
 // Cross-validation of the schedulability analyses against the
@@ -41,10 +42,9 @@ func randomHarmonicSet(rng *rand.Rand, n int, u float64) []task.Spec {
 }
 
 // nodeCfg is the node a cross-validation run boots: the named policy
-// with the standard semaphore scheme and no parser pass, as
-// SimBreakdown builds it.
+// with the standard semaphore scheme, as SimBreakdown builds it.
 func nodeCfg(prof *costmodel.Profile, policy string) sim.Config {
-	return sim.Config{Policy: policy, Profile: prof, StandardSem: true, NoParser: true}
+	return sim.Config{Policy: policy, Profile: prof, StandardSem: true}
 }
 
 // TestAnalysisSoundIdeal: with zero overhead the analyses are exact
@@ -140,11 +140,10 @@ func TestSimBreakdownTracksAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisecting simulations is slow")
 	}
-	prof := costmodel.M68040()
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 4; trial++ {
 		specs := randomHarmonicSet(rng, 5+rng.Intn(4), 0.5)
-		for _, cmp := range CompareBreakdowns(prof, specs, 400*vtime.Millisecond) {
+		for _, cmp := range CompareBreakdowns(specs, 400*vtime.Millisecond) {
 			if cmp.Simulated > cmp.Analytic+0.02 {
 				t.Errorf("trial %d %s: simulated %.3f above analytic %.3f",
 					trial, cmp.Policy, cmp.Simulated, cmp.Analytic)
@@ -160,21 +159,26 @@ func TestSimBreakdownTracksAnalytic(t *testing.T) {
 // TestBreakdownOrderingScaleInvariant: the paper's relative claims
 // (CSD-3 beats EDF and RM at large n) must hold on the slower 68332
 // profile too — the calibration's absolute level must not be what
-// produces the orderings.
+// produces the orderings. Each profile averages the workloads
+// BreakdownFigure draws at n = 40 with periods ÷2.
 func TestBreakdownOrderingScaleInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("breakdown sweep is slow")
 	}
+	const n, workloads = 40, 10
 	for _, prof := range []*costmodel.Profile{costmodel.M68040(), costmodel.M68332()} {
-		res := BreakdownFigure(BreakdownConfig{
-			Ns: []int{40}, PeriodDiv: 2, Workloads: 10, Seed: 3,
-			Profile:    prof,
-			Schedulers: []string{"CSD-3", "EDF", "RM"},
-		})
-		csd, edf, rm := res.Series["CSD-3"][0], res.Series["EDF"][0], res.Series["RM"][0]
+		var csd, edf, rm float64
+		for i := 0; i < workloads; i++ {
+			specs := workload.Generate(workload.Config{
+				N: n, PeriodDiv: 2, Utilization: 0.5, Seed: workload.SeedFor(3, n, i),
+			})
+			csd += breakdownFor(prof, "CSD-3", specs)
+			edf += breakdownFor(prof, "EDF", specs)
+			rm += breakdownFor(prof, "RM", specs)
+		}
 		if csd < edf || csd < rm {
-			t.Errorf("%s: CSD-3 %.1f not above EDF %.1f / RM %.1f at n=40",
-				prof.Name, csd, edf, rm)
+			t.Errorf("%s: CSD-3 %.1f not above EDF %.1f / RM %.1f at n=%d",
+				prof.Name, 100*csd/workloads, 100*edf/workloads, 100*rm/workloads, n)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/vtime"
 )
 
@@ -13,7 +12,7 @@ import (
 // is larger, and the saving at length 15 is at least the paper's 28%
 // ballpark.
 func TestFigure11Shape(t *testing.T) {
-	pts, _ := SemOverheadCurveDiag(DPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
+	pts, _ := SemOverheadCurveDiag(DPQueue, []int{3, 9, 15, 21, 30}, Par{})
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Standard <= pts[i-1].Standard {
 			t.Errorf("standard not increasing at len %d", pts[i].QueueLen)
@@ -39,7 +38,7 @@ func TestFigure11Shape(t *testing.T) {
 // TestFigure12Shape checks the FP-queue result: standard linear,
 // optimized constant at the paper's 29.4 µs.
 func TestFigure12Shape(t *testing.T) {
-	pts, _ := SemOverheadCurveDiag(FPQueue, []int{3, 9, 15, 21, 30}, nil, Par{})
+	pts, _ := SemOverheadCurveDiag(FPQueue, []int{3, 9, 15, 21, 30}, Par{})
 	for _, p := range pts {
 		if p.Optimized != vtime.Micros(29.4) {
 			t.Errorf("optimized at len %d = %v, want the constant 29.4 µs", p.QueueLen, p.Optimized)
@@ -68,7 +67,7 @@ func TestFigure12Shape(t *testing.T) {
 
 // TestFigure2Reproduction pins the §5.2 demonstration.
 func TestFigure2Reproduction(t *testing.T) {
-	r := Figure2(nil)
+	r := Figure2()
 	if !r.EDFFeasible || r.RMFeasible {
 		t.Errorf("analysis: EDF=%v RM=%v", r.EDFFeasible, r.RMFeasible)
 	}
@@ -150,7 +149,7 @@ func TestBreakdownFigureShapes(t *testing.T) {
 // beat mailboxes on every point, more with more readers, and eliminate
 // per-message context switches.
 func TestIPCComparisonShape(t *testing.T) {
-	pts, _ := IPCComparisonDiag([]int{8, 64}, []int{1, 4}, nil, Par{})
+	pts, _ := IPCComparisonDiag([]int{8, 64}, []int{1, 4}, Par{})
 	for _, p := range pts {
 		if p.StatePerMsg >= p.MailboxPerMsg {
 			t.Errorf("r=%d size=%d: state %v not below mailbox %v",
@@ -176,7 +175,7 @@ func TestIPCComparisonShape(t *testing.T) {
 
 // TestTable1Render pins the crossover note and formula sampling.
 func TestTable1Render(t *testing.T) {
-	out := RenderTable1(Table1(nil))
+	out := RenderTable1(Table1())
 	for _, frag := range []string{"EDF-queue", "RM-heap", "crossover", "0.25"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("table 1 output missing %q", frag)
@@ -187,7 +186,7 @@ func TestTable1Render(t *testing.T) {
 // TestTable3Monotone checks the Table 3 evaluation: DP1 per-period
 // overhead below DP2's, queue-parse cost present in every selection.
 func TestTable3Monotone(t *testing.T) {
-	entries := Table3(nil, 5, 15, 30)
+	entries := Table3(5, 15, 30)
 	if len(entries) != 6 {
 		t.Fatalf("entries = %d", len(entries))
 	}
@@ -215,9 +214,8 @@ func TestTable3Monotone(t *testing.T) {
 
 // TestSemScenarioDeterministic: the harness must be exactly repeatable.
 func TestSemScenarioDeterministic(t *testing.T) {
-	p := costmodel.M68040()
-	a := SemScenario(FPQueue, 12, true, p)
-	b := SemScenario(FPQueue, 12, true, p)
+	a := SemScenario(FPQueue, 12, true)
+	b := SemScenario(FPQueue, 12, true)
 	if a != b {
 		t.Errorf("scenario not deterministic: %v vs %v", a, b)
 	}

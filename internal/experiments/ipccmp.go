@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
@@ -68,23 +67,20 @@ func (p IPCPoint) SpeedupX() float64 {
 // for any worker count. Task names are qualified by scenario
 // ("state/producer", "mailbox/consumer0") since the same task runs
 // under each IPC mechanism; the baseline adds its counters only.
-func IPCComparisonDiag(sizes, readers []int, prof *costmodel.Profile, par Par) ([]IPCPoint, *metrics.Diagnostics) {
-	if prof == nil {
-		prof = m68040
-	}
+func IPCComparisonDiag(sizes, readers []int, par Par) ([]IPCPoint, *metrics.Diagnostics) {
 	c := diagCollector{hist: (*kernel.Thread).Responses, metric: "response"}
 	jobs := parRun(par, "ipc", len(readers)*len(sizes),
 		func(j harness.Job) (diagJob[IPCPoint], error) {
 			r := readers[j.Index/len(sizes)]
 			sz := sizes[j.Index%len(sizes)]
 			var out diagJob[IPCPoint]
-			so, ss, sk := ipcScenario("state", sz, r, prof)
+			so, ss, sk := ipcScenario("state", sz, r)
 			c.add(&out.diagShare, "state", sk)
-			mo, ms, mk := ipcScenario("mailbox", sz, r, prof)
+			mo, ms, mk := ipcScenario("mailbox", sz, r)
 			c.add(&out.diagShare, "mailbox", mk)
-			vo, vs, vk := ipcScenario("vlink", sz, r, prof)
+			vo, vs, vk := ipcScenario("vlink", sz, r)
 			c.add(&out.diagShare, "vlink", vk)
-			bo, bs, bk := ipcScenario("none", sz, r, prof)
+			bo, bs, bk := ipcScenario("none", sz, r)
 			out.met.Merge(bk.Metrics())
 			msgs := ipcMessages(r)
 			out.val = IPCPoint{
@@ -116,12 +112,11 @@ func ipcMessages(readers int) int64 {
 // ipcScenario runs one configuration and returns total kernel
 // overhead, context-switch count, and the kernel itself (for counter
 // and histogram harvesting).
-func ipcScenario(mode string, size, readers int, prof *costmodel.Profile) (vtime.Duration, float64, *kernel.Kernel) {
+func ipcScenario(mode string, size, readers int) (vtime.Duration, float64, *kernel.Kernel) {
 	n := kernel.NewNode(sim.Config{
-		Profile:         prof,
+		Profile:         m68040,
 		Policy:          sim.PolicyRM,
 		RecordResponses: true,
-		NoParser:        true,
 	})
 	k := n.Kernel()
 

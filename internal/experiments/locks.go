@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
@@ -79,14 +78,13 @@ func lockWorkload(k *kernel.Kernel) {
 }
 
 // LockCellObserved runs the lock-ablation workload on a node built from
-// cfg (Policy and NoParser are forced to the ablation's fixed choices),
+// cfg (Policy is forced to the ablation's fixed choice),
 // calling observe — if non-nil — on the assembled node before Boot.
 // This is the hook behind ablate's -trace-out/-sample-us flags: the
 // caller can attach a flight recorder or size a trace ring via cfg and
 // harvest both from the returned node.
 func LockCellObserved(cfg sim.Config, ms vtime.Duration, observe func(*kernel.Node) error) (LockPoint, *kernel.Node, error) {
 	cfg.Policy = sim.PolicyEDF
-	cfg.NoParser = true
 	if cfg.Profile == nil {
 		cfg.Profile = m68040
 	}
@@ -128,10 +126,7 @@ func LockCellObserved(cfg sim.Config, ms vtime.Duration, observe func(*kernel.No
 // LockGrid runs the lock-granularity grid (cpus × regime), one harness
 // job per cell, in a fixed deterministic order. The explicit -lock flag
 // pins the regime axis to one regime; nil runs all three.
-func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, prof *costmodel.Profile, ms vtime.Duration, par Par) []LockPoint {
-	if prof == nil {
-		prof = m68040
-	}
+func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, ms vtime.Duration, par Par) []LockPoint {
 	if len(cpuCounts) == 0 {
 		cpuCounts = []int{1, 2, 4}
 	}
@@ -152,9 +147,8 @@ func LockGrid(cpuCounts []int, regimes []kernel.LockRegime, prof *costmodel.Prof
 		func(j harness.Job) (LockPoint, error) {
 			c := cells[j.Index]
 			pt, _, err := LockCellObserved(sim.Config{
-				Profile: prof,
-				CPUs:    c.cpus,
-				Lock:    c.regime.String(),
+				CPUs: c.cpus,
+				Lock: c.regime.String(),
 			}, ms, nil)
 			return pt, err
 		})

@@ -12,7 +12,7 @@ import (
 // time at every CPU count, no lock time on one CPU, and identical
 // workload outcome (completions) across regimes at a fixed CPU count.
 func TestLockGranularityGrid(t *testing.T) {
-	pts := LockGrid([]int{1, 2, 4}, nil, nil, 200*vtime.Millisecond, Par{Workers: 4})
+	pts := LockGrid([]int{1, 2, 4}, nil, 200*vtime.Millisecond, Par{Workers: 4})
 	if len(pts) != 9 {
 		t.Fatalf("got %d points, want 9", len(pts))
 	}
@@ -51,8 +51,8 @@ func TestLockGranularityGrid(t *testing.T) {
 // TestLockGranularityWorkerIndependent locks the determinism contract:
 // the grid is identical for any worker fan-out.
 func TestLockGranularityWorkerIndependent(t *testing.T) {
-	a := LockGrid([]int{2}, nil, nil, 100*vtime.Millisecond, Par{Workers: 1})
-	b := LockGrid([]int{2}, nil, nil, 100*vtime.Millisecond, Par{Workers: 8})
+	a := LockGrid([]int{2}, nil, 100*vtime.Millisecond, Par{Workers: 1})
+	b := LockGrid([]int{2}, nil, 100*vtime.Millisecond, Par{Workers: 8})
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("grid differs across worker counts:\n%+v\n%+v", a, b)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"emeralds/internal/costmodel"
 	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sim"
@@ -15,16 +14,12 @@ import (
 // every move exercises the full deferred path: request, segment-boundary
 // detach, transit, IPI, re-attach. Deterministic; the data behind
 // BenchmarkMigrationOp.
-func MigrationPingPong(prof *costmodel.Profile, ms vtime.Duration) (migrations uint64, charge vtime.Duration) {
-	if prof == nil {
-		prof = m68040
-	}
+func MigrationPingPong(ms vtime.Duration) (migrations uint64, charge vtime.Duration) {
 	n := kernel.NewNode(sim.Config{
-		Profile:     prof,
+		Profile:     m68040,
 		Policy:      sim.PolicyEDF,
 		CPUs:        2,
 		StandardSem: true,
-		NoParser:    true,
 	})
 	k := n.Kernel()
 	// Eight short segments per job so a mid-segment request always finds

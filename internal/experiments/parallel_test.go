@@ -40,8 +40,8 @@ func TestQueueSweepParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue sweep is slow")
 	}
-	a := QueueCountSweep(nil, 12, []int{1, 3}, 4, 5, Par{Workers: 1})
-	b := QueueCountSweep(nil, 12, []int{1, 3}, 4, 5, Par{Workers: 8})
+	a := QueueCountSweep(12, []int{1, 3}, 4, 5, Par{Workers: 1})
+	b := QueueCountSweep(12, []int{1, 3}, 4, 5, Par{Workers: 8})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("point %d: serial %+v != parallel %+v", i, a[i], b[i])
@@ -54,8 +54,8 @@ func TestQueueSweepParallelDeterminism(t *testing.T) {
 // in job-index order, so the diagnostics of a sweep are bit-identical
 // for any worker count.
 func TestDiagnosticsWorkerIndependent(t *testing.T) {
-	semPts1, semD1 := SemOverheadCurveDiag(DPQueue, []int{3, 5}, nil, Par{Workers: 1})
-	semPts4, semD4 := SemOverheadCurveDiag(DPQueue, []int{3, 5}, nil, Par{Workers: 4})
+	semPts1, semD1 := SemOverheadCurveDiag(DPQueue, []int{3, 5}, Par{Workers: 1})
+	semPts4, semD4 := SemOverheadCurveDiag(DPQueue, []int{3, 5}, Par{Workers: 4})
 	if !reflect.DeepEqual(semPts1, semPts4) {
 		t.Errorf("sem points differ across worker counts")
 	}
@@ -66,8 +66,8 @@ func TestDiagnosticsWorkerIndependent(t *testing.T) {
 		t.Errorf("sem diagnostics empty: %+v", semD1)
 	}
 
-	ipcPts1, ipcD1 := IPCComparisonDiag([]int{8}, []int{1, 2}, nil, Par{Workers: 1})
-	ipcPts4, ipcD4 := IPCComparisonDiag([]int{8}, []int{1, 2}, nil, Par{Workers: 4})
+	ipcPts1, ipcD1 := IPCComparisonDiag([]int{8}, []int{1, 2}, Par{Workers: 1})
+	ipcPts4, ipcD4 := IPCComparisonDiag([]int{8}, []int{1, 2}, Par{Workers: 4})
 	if !reflect.DeepEqual(ipcPts1, ipcPts4) {
 		t.Errorf("ipc points differ across worker counts")
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"emeralds/internal/analysis"
-	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/sched"
 	"emeralds/internal/task"
@@ -53,10 +52,7 @@ func evenSplit(r, k int) []int {
 // workload.SeedFor(seed, n, i), so every x sees the identical task
 // sets the old shared-batch version used, and the per-x averages sum
 // in workload order after the fan-out.
-func QueueCountSweep(prof *costmodel.Profile, n int, xs []int, count int, seed int64, par Par) []QueueSweepPoint {
-	if prof == nil {
-		prof = m68040
-	}
+func QueueCountSweep(n int, xs []int, count int, seed int64, par Par) []QueueSweepPoint {
 	cells := parRun(par, "queue-sweep", len(xs)*count,
 		func(j harness.Job) (float64, error) {
 			x := xs[j.Index/count]
@@ -65,13 +61,13 @@ func QueueCountSweep(prof *costmodel.Profile, n int, xs []int, count int, seed i
 				Seed: workload.SeedFor(seed, n, j.Index%count),
 			})
 			if x <= 1 {
-				return analysis.BreakdownRM(prof, specs), nil
+				return analysis.BreakdownRM(m68040, specs), nil
 			}
 			rmSorted := analysis.SortRM(specs)
 			return analysis.Breakdown(rmSorted, func(s []task.Spec) bool {
 				for r := 1; r <= n; r++ {
 					part := sched.Partition{DPSizes: evenSplit(r, x-1)}
-					if analysis.FeasibleCSD(prof, s, part) {
+					if analysis.FeasibleCSD(m68040, s, part) {
 						return true
 					}
 				}

@@ -33,9 +33,10 @@ import (
 // interaction and nothing else (padding tasks never run, and no timer
 // releases land inside the window).
 
-// m68040 is the package's shared default cost model. Profiles are
-// read-only after construction (Scaled returns a copy), so one
-// instance serves every scenario instead of being rebuilt per kernel.
+// m68040 is the cost model every experiment charges, except Figure 2's
+// zero-cost simulation. Profiles are read-only after construction
+// (Scaled returns a copy), so one instance serves every scenario
+// instead of being rebuilt per kernel.
 var m68040 = costmodel.M68040()
 
 // SemQueueKind selects which scheduler queue the scenario exercises.
@@ -85,8 +86,8 @@ var semSchemes = []semBuild{
 // histograms, keyed by queue kind and scheme ("dp/standard/T2") and
 // folded across jobs in job order — identical for any harness worker
 // count.
-func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile, par Par) ([]SemPoint, *metrics.Diagnostics) {
-	overheads, d := semBuildsDiag("sem-"+string(kind), kind, lens, semSchemes, prof, par)
+func SemOverheadCurveDiag(kind SemQueueKind, lens []int, par Par) ([]SemPoint, *metrics.Diagnostics) {
+	overheads, d := semBuildsDiag("sem-"+string(kind), kind, lens, semSchemes, par)
 	pts := make([]SemPoint, len(lens))
 	for i, o := range overheads {
 		pts[i] = SemPoint{QueueLen: lens[i], Standard: o[0], Optimized: o[1]}
@@ -98,14 +99,14 @@ func SemOverheadCurveDiag(kind SemQueueKind, lens []int, prof *costmodel.Profile
 // queue length, one harness job per length, and returns each length's
 // overheads in build order with the diagnostics block of all the runs,
 // T2's blocking histograms keyed "kind/build/T2".
-func semBuildsDiag(label string, kind SemQueueKind, lens []int, builds []semBuild, prof *costmodel.Profile, par Par) ([][]vtime.Duration, *metrics.Diagnostics) {
+func semBuildsDiag(label string, kind SemQueueKind, lens []int, builds []semBuild, par Par) ([][]vtime.Duration, *metrics.Diagnostics) {
 	c := diagCollector{hist: (*kernel.Thread).Blocking, metric: "blocking"}
 	jobs := parRun(par, label, len(lens),
 		func(j harness.Job) (diagJob[[]vtime.Duration], error) {
 			var out diagJob[[]vtime.Duration]
 			out.val = make([]vtime.Duration, len(builds))
 			for bi, b := range builds {
-				d, k := semScenarioRun(kind, lens[j.Index], b, prof, true)
+				d, k := semScenarioRun(kind, lens[j.Index], b, true)
 				out.val[bi] = d
 				c.add(&out.diagShare, string(kind)+"/"+b.name, k)
 			}
@@ -117,8 +118,8 @@ func semBuildsDiag(label string, kind SemQueueKind, lens []int, builds []semBuil
 // SemScenario runs one Figure 6 scenario with the scheduler queue
 // padded to queueLen tasks and returns the overhead charged between
 // event E and the completion of T₂'s critical section.
-func SemScenario(kind SemQueueKind, queueLen int, optimized bool, prof *costmodel.Profile) vtime.Duration {
-	d, _ := semScenarioRun(kind, queueLen, semBuild{optimized: optimized}, prof, false)
+func SemScenario(kind SemQueueKind, queueLen int, optimized bool) vtime.Duration {
+	d, _ := semScenarioRun(kind, queueLen, semBuild{optimized: optimized}, false)
 	return d
 }
 
@@ -126,22 +127,18 @@ func SemScenario(kind SemQueueKind, queueLen int, optimized bool, prof *costmode
 // so callers can harvest counters and blocking histograms. record
 // enables response/blocking histograms — only the Diag path reads
 // them, and histogram pairs dominate the plain path's allocations.
-func semScenarioRun(kind SemQueueKind, queueLen int, b semBuild, prof *costmodel.Profile, record bool) (vtime.Duration, *kernel.Kernel) {
-	if prof == nil {
-		prof = m68040
-	}
+func semScenarioRun(kind SemQueueKind, queueLen int, b semBuild, record bool) (vtime.Duration, *kernel.Kernel) {
 	policy := sim.PolicyEDF
 	if kind == FPQueue {
 		policy = sim.PolicyRM
 	}
 	n := kernel.NewNode(sim.Config{
-		Profile:            prof,
+		Profile:            m68040,
 		Policy:             policy,
 		StandardSem:        !b.optimized,
 		DisableHints:       b.disableHints,
 		DisablePlaceholder: b.disablePlaceholder,
 		RecordResponses:    record,
-		NoParser:           true,
 	})
 	k := n.Kernel()
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"emeralds/internal/analysis"
-	"emeralds/internal/costmodel"
 	"emeralds/internal/harness"
 	"emeralds/internal/kernel"
 	"emeralds/internal/sim"
@@ -43,11 +42,8 @@ func SimulateMisses(cfg sim.Config, specs []task.Spec, horizon vtime.Duration) u
 // several hyperperiods of the workload; a finite horizon makes the
 // result an upper bound (a miss may hide beyond it), which is why
 // validation pairs it with the conservative analytic result.
-func SimBreakdown(prof *costmodel.Profile, specs []task.Spec, policy string, horizon vtime.Duration) float64 {
-	if prof == nil {
-		prof = m68040
-	}
-	cfg := sim.Config{Policy: policy, Profile: prof, StandardSem: true, NoParser: true}
+func SimBreakdown(specs []task.Spec, policy string, horizon vtime.Duration) float64 {
+	cfg := sim.Config{Policy: policy, Profile: m68040, StandardSem: true}
 	rmSorted := analysis.SortRM(specs)
 	return analysis.Breakdown(rmSorted, func(s []task.Spec) bool {
 		return SimulateMisses(cfg, s, horizon) == 0
@@ -62,13 +58,10 @@ type SimVsAnalytic struct {
 }
 
 // CompareBreakdowns runs both engines for EDF and RM on the workload.
-func CompareBreakdowns(prof *costmodel.Profile, specs []task.Spec, horizon vtime.Duration) []SimVsAnalytic {
-	if prof == nil {
-		prof = m68040
-	}
+func CompareBreakdowns(specs []task.Spec, horizon vtime.Duration) []SimVsAnalytic {
 	return []SimVsAnalytic{
-		{"EDF", analysis.BreakdownEDF(prof, specs), SimBreakdown(prof, specs, sim.PolicyEDF, horizon)},
-		{"RM", analysis.BreakdownRM(prof, specs), SimBreakdown(prof, specs, sim.PolicyRM, horizon)},
+		{"EDF", analysis.BreakdownEDF(m68040, specs), SimBreakdown(specs, sim.PolicyEDF, horizon)},
+		{"RM", analysis.BreakdownRM(m68040, specs), SimBreakdown(specs, sim.PolicyRM, horizon)},
 	}
 }
 
@@ -82,13 +75,9 @@ type CompareSweepPoint struct {
 // simulated one at every task count in ns, one harness job per count.
 // The workload probed at n is workload 0 of the figure sweep at the
 // same (seed, div, n) — see workload.SeedFor — so the cross-check
-// exercises exactly a task set the analytic series averaged over. The
-// profile is threaded through both engines, fixing the old cmd path
-// that analyzed with one profile and simulated with another.
-func CompareSweep(prof *costmodel.Profile, ns []int, div int, seed int64, horizon vtime.Duration, par Par) []CompareSweepPoint {
-	if prof == nil {
-		prof = m68040
-	}
+// exercises exactly a task set the analytic series averaged over. Both
+// engines use the one 68040 profile the figure sweep uses.
+func CompareSweep(ns []int, div int, seed int64, horizon vtime.Duration, par Par) []CompareSweepPoint {
 	return parRun(par, "sim-crosscheck", len(ns),
 		func(j harness.Job) (CompareSweepPoint, error) {
 			n := ns[j.Index]
@@ -96,6 +85,6 @@ func CompareSweep(prof *costmodel.Profile, ns []int, div int, seed int64, horizo
 				N: n, PeriodDiv: div, Utilization: 0.5,
 				Seed: workload.SeedFor(seed, n, 0),
 			})
-			return CompareSweepPoint{N: n, Cmps: CompareBreakdowns(prof, specs, horizon)}, nil
+			return CompareSweepPoint{N: n, Cmps: CompareBreakdowns(specs, horizon)}, nil
 		})
 }

@@ -35,10 +35,8 @@ var Table1Ns = []int{5, 15, 30, 58}
 // Table1 evaluates the Table 1 cost formulas of the calibrated profile
 // at the sample lengths. The simulator charges exactly these values
 // per operation, so this *is* what every experiment pays.
-func Table1(p *costmodel.Profile) []Table1Row {
-	if p == nil {
-		p = costmodel.M68040()
-	}
+func Table1() []Table1Row {
+	p := m68040
 	mk := func(schedName, op, formula string, f func(n int) vtime.Duration) Table1Row {
 		row := Table1Row{Scheduler: schedName, Op: op, Formula: formula, At: map[int]vtime.Duration{}}
 		for _, n := range Table1Ns {
@@ -86,7 +84,7 @@ func RenderTable1(rows []Table1Row) string {
 		b.WriteString("\n")
 	}
 	// Crossover: the paper notes the heap only wins past n = 58.
-	p := costmodel.M68040()
+	p := m68040
 	for n := 2; n <= 80; n++ {
 		q := vtime.Scale(p.RMBlock(n)+p.RMUnblock()+2*p.RMSelect(), 1.5)
 		lv := costmodel.Levels(n)
@@ -111,14 +109,11 @@ type Table3Entry struct {
 }
 
 // Table3 evaluates the CSD-3 overhead case analysis at (q, r, n).
-func Table3(p *costmodel.Profile, q, r, n int) []Table3Entry {
-	if p == nil {
-		p = costmodel.M68040()
-	}
+func Table3(q, r, n int) []Table3Entry {
 	sizes := []int{q, r - q, n - r}
 	var out []Table3Entry
 	for qi, name := range []string{"DP1", "DP2", "FP"} {
-		ov := analysis.CSDOverheads(p, sizes, qi)
+		ov := analysis.CSDOverheads(m68040, sizes, qi)
 		out = append(out,
 			Table3Entry{Queue: name, Event: "block", TB: ov.Block, TS: ov.SelectBlock, PerPeriod: ov.PerPeriod()},
 			Table3Entry{Queue: name, Event: "unblock", TU: ov.Unblock, TS: ov.SelectUnblock, PerPeriod: ov.PerPeriod()},
@@ -161,18 +156,15 @@ type Figure2Result struct {
 
 // Figure2 reproduces §5.2: the Table 2 workload analyzed and simulated
 // under EDF, RM, and CSD-2 with the §5.5.3 partition.
-func Figure2(p *costmodel.Profile) Figure2Result {
-	if p == nil {
-		p = costmodel.M68040()
-	}
+func Figure2() Figure2Result {
 	specs := workload.Table2()
 	res := Figure2Result{
 		Utilization: task.TotalUtilization(specs),
-		EDFFeasible: analysis.FeasibleEDF(p, specs),
-		RMFeasible:  analysis.FeasibleRM(p, specs),
+		EDFFeasible: analysis.FeasibleEDF(m68040, specs),
+		RMFeasible:  analysis.FeasibleRM(m68040, specs),
 	}
 	rmSorted := analysis.SortRM(specs)
-	part, ok := analysis.FindPartition(p, rmSorted, 2)
+	part, ok := analysis.FindPartition(m68040, rmSorted, 2)
 	if !ok {
 		part = sched.Partition{DPSizes: []int{len(specs)}}
 	}
@@ -190,7 +182,6 @@ func Figure2(p *costmodel.Profile) Figure2Result {
 			DPSizes:       dp,
 			Profile:       zero,
 			StandardSem:   true,
-			NoParser:      true,
 			TraceCapacity: 65536, // large enough to retain the first miss over the 2 s run
 		}, func(n *kernel.Node) error {
 			for _, s := range specs {

@@ -49,7 +49,7 @@ type Artifact struct {
 	// series emitted when telemetry is enabled, consumed by cmd/emstat.
 	// Deterministic like the rest; omitted when sampling is off.
 	Timeseries *telemetry.Series `json:"timeseries,omitempty"`
-	Run        RunInfo
+	Run        RunInfo           `json:"run"`
 }
 
 // RunInfo is the volatile part of an artifact.
@@ -59,18 +59,6 @@ type RunInfo struct {
 	Workers   int     `json:"workers,omitempty"`
 	WallMS    float64 `json:"wall_ms"`
 	WrittenAt string  `json:"written_at"` // RFC 3339, UTC
-}
-
-// artifactJSON fixes the serialized layout (RunInfo under "run").
-type artifactJSON struct {
-	Schema      string               `json:"schema"`
-	Tool        string               `json:"tool"`
-	Config      any                  `json:"config,omitempty"`
-	Series      any                  `json:"series"`
-	Diagnostics *metrics.Diagnostics `json:"diagnostics,omitempty"`
-	Attribution *attrib.Report       `json:"attribution,omitempty"`
-	Timeseries  *telemetry.Series    `json:"timeseries,omitempty"`
-	Run         RunInfo              `json:"run"`
 }
 
 // NewArtifact assembles an artifact, stamping git metadata and the
@@ -97,7 +85,7 @@ func NewArtifact(tool string, config, series any, workers int, wall time.Duratio
 // temp file + rename so a crashed run never leaves a truncated
 // artifact behind.
 func (a *Artifact) WriteFile(path string) error {
-	data, err := json.MarshalIndent(artifactJSON(*a), "", "  ")
+	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: marshal artifact: %w", err)
 	}
@@ -136,14 +124,13 @@ func ReadArtifactSchema(path, schema string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var aj artifactJSON
-	if err := json.Unmarshal(data, &aj); err != nil {
+	var a Artifact
+	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("harness: parse %s: %w", path, err)
 	}
-	if aj.Schema != schema {
-		return nil, fmt.Errorf("harness: %s has schema %q, want %q", path, aj.Schema, schema)
+	if a.Schema != schema {
+		return nil, fmt.Errorf("harness: %s has schema %q, want %q", path, a.Schema, schema)
 	}
-	a := Artifact(aj)
 	return &a, nil
 }
 

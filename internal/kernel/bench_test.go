@@ -61,7 +61,7 @@ func BenchmarkRun(b *testing.B) {
 // milliseconds of a 10-task CSD-3 system simulated per wall second.
 func BenchmarkKernelSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.SemScenario(experiments.FPQueue, 10, true, nil)
+		r := experiments.SemScenario(experiments.FPQueue, 10, true)
 		if r <= 0 {
 			b.Fatal("degenerate scenario")
 		}

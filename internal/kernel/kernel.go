@@ -272,12 +272,11 @@ type Kernel struct {
 	isrs   map[int]func(*Kernel)
 	ports  []BusPort
 
-	footprint *mem.Footprint
-	ram       *mem.RAM
-	ramErr    error
-	defProc   int
-	stats     Stats // charge durations only; Stats derives the counts
-	met       *metrics.Set
+	ram     *mem.RAM
+	ramErr  error
+	defProc int
+	stats   Stats // charge durations only; Stats derives the counts
+	met     *metrics.Set
 
 	// OnJobComplete, when set before Boot, is invoked at the instant a
 	// job's last op finishes, before any teardown charges — the
@@ -335,18 +334,17 @@ func newKernel(cfg sim.Config) *Kernel {
 		m = 1
 	}
 	k := &Kernel{
-		name:      name,
-		eng:       eng,
-		prof:      prof,
-		optHints:  !cfg.StandardSem && !cfg.DisableHints,
-		optPI:     !cfg.StandardSem && !cfg.DisablePlaceholder,
-		dm:        cfg.DeadlineMonotonic,
-		record:    cfg.RecordResponses,
-		tr:        tr,
-		lockReg:   regime,
-		memsys:    mem.NewSystem(),
-		footprint: mem.NewFootprint(),
-		ram:       mem.NewRAM(cfg.RAMBudget),
+		name:     name,
+		eng:      eng,
+		prof:     prof,
+		optHints: !cfg.StandardSem && !cfg.DisableHints,
+		optPI:    !cfg.StandardSem && !cfg.DisablePlaceholder,
+		dm:       cfg.DeadlineMonotonic,
+		record:   cfg.RecordResponses,
+		tr:       tr,
+		lockReg:  regime,
+		memsys:   mem.NewSystem(),
+		ram:      mem.NewRAM(cfg.RAMBudget),
 	}
 	k.cpus = make([]*cpu, m)
 	for i := range k.cpus {
@@ -414,38 +412,27 @@ func (k *Kernel) Stats() Stats {
 	return st
 }
 
-// Metrics returns the kernel's counter set. On the single-CPU kernel it
-// is the live set subsystems increment (shared via
-// metrics.Instrumented/Observe); on a multicore kernel it is a merged
-// snapshot of the per-CPU shards.
+// Metrics returns a snapshot of the kernel's counters: the per-CPU
+// shards merged in shard order. Shard 0 also holds the global counters
+// (IPC objects bind there before Boot).
 func (k *Kernel) Metrics() *metrics.Set {
-	if len(k.cpus) == 1 {
-		return k.met
+	m := &metrics.Set{}
+	for _, c := range k.cpus {
+		m.Merge(c.met)
 	}
-	return k.mergedMetrics()
+	return m
 }
 
 // MetricsOn returns CPU c's live counter shard.
 func (k *Kernel) MetricsOn(c int) *metrics.Set { return k.cpus[c].met }
 
-// mergedMetrics folds the per-CPU shards in shard order. Shard 0 also
-// holds the global counters (IPC objects bind there before Boot).
-func (k *Kernel) mergedMetrics() *metrics.Set {
-	sets := make([]*metrics.Set, len(k.cpus))
-	for i, c := range k.cpus {
-		sets[i] = c.met
-	}
-	return metrics.MergeShards(sets)
-}
-
 // Diagnostics builds the observability block for artifacts: the full
 // counter snapshot plus per-task response/blocking summaries (present
 // only with sim.Config.RecordResponses, and only for tasks that recorded
 // at least one sample). Tasks appear in creation order, so the block is
-// deterministic. On multicore kernels the counters are the per-CPU
-// shards merged in shard order.
+// deterministic. The counters are Metrics' merged snapshot.
 func (k *Kernel) Diagnostics() *metrics.Diagnostics {
-	d := &metrics.Diagnostics{Counters: k.mergedMetrics().Snapshot(), TraceDropped: k.tr.Dropped()}
+	d := &metrics.Diagnostics{Counters: k.Metrics().Snapshot(), TraceDropped: k.tr.Dropped()}
 	for _, th := range k.threads {
 		if th.respHist != nil && th.respHist.Count() > 0 {
 			d.Tasks = append(d.Tasks, metrics.Summarize(th.TCB.Name, "response", th.respHist))
@@ -459,9 +446,6 @@ func (k *Kernel) Diagnostics() *metrics.Diagnostics {
 
 // Trace returns the trace log (nil if tracing is off).
 func (k *Kernel) Trace() *trace.Log { return k.tr }
-
-// Footprint returns the static kernel-size accounting.
-func (k *Kernel) Footprint() *mem.Footprint { return k.footprint }
 
 // RAM returns the dynamic-memory accountant.
 func (k *Kernel) RAM() *mem.RAM { return k.ram }
@@ -609,9 +593,6 @@ func (k *Kernel) boot(ss []sched.Scheduler, perCPU [][]*task.TCB) error {
 	}
 	k.booted = true
 	for i, c := range k.cpus {
-		if in, ok := c.sch.(metrics.Instrumented); ok {
-			in.SetMetrics(c.met)
-		}
 		var sorted []*task.TCB
 		if k.dm {
 			sorted = sched.AssignDMPriorities(perCPU[i])
@@ -619,6 +600,7 @@ func (k *Kernel) boot(ss []sched.Scheduler, perCPU [][]*task.TCB) error {
 			sorted = sched.AssignRMPriorities(perCPU[i])
 		}
 		if csd, ok := c.sch.(*sched.CSD); ok {
+			csd.SetMetrics(c.met)
 			if err := csd.Partition().Apply(sorted); err != nil {
 				return fmt.Errorf("cpu%d: %w", i, err)
 			}

@@ -81,9 +81,10 @@ func (n *Node) Config() sim.Config { return n.cfg }
 func (n *Node) OverrideScheduler(ss ...sched.Scheduler) { n.override = ss }
 
 // AddTask admits a periodic task (aperiodic when Period is 0), running
-// the §6.2.1 parser over its program unless Config.NoParser is set.
+// the §6.2.1 parser over its program. Kernel.AddTask admits a program
+// as written, for hints placed by hand.
 func (n *Node) AddTask(spec task.Spec) *Thread {
-	if !n.cfg.NoParser && spec.Prog != nil {
+	if spec.Prog != nil {
 		spec.Prog = parser.InsertHints(spec.Prog)
 	}
 	return n.kern.AddTask(spec)
@@ -91,7 +92,7 @@ func (n *Node) AddTask(spec task.Spec) *Thread {
 
 // AddTaskIn is AddTask into a specific process.
 func (n *Node) AddTaskIn(proc int, spec task.Spec) *Thread {
-	if !n.cfg.NoParser && spec.Prog != nil {
+	if spec.Prog != nil {
 		spec.Prog = parser.InsertHints(spec.Prog)
 	}
 	return n.kern.AddTaskIn(proc, spec)
@@ -252,6 +253,6 @@ func (n *Node) Report() string {
 		st.ContextSwitches, st.SavedSwitches, st.Preemptions, st.Misses,
 		st.TotalOverhead(), st.UsefulCompute)
 	fmt.Fprintf(&b, "  kernel code %d bytes (budget %d); RAM %d bytes\n",
-		n.kern.Footprint().Total(), mem.KernelBudget, n.kern.RAM().Used())
+		mem.PaperKernelSize, mem.KernelBudget, n.kern.RAM().Used())
 	return b.String()
 }

@@ -145,18 +145,6 @@ func TestParserRunsAtAddTask(t *testing.T) {
 	if got := th.TCB.Spec.Prog[0].Hint; got != sem {
 		t.Errorf("hint = %d, parser did not run", got)
 	}
-
-	noParse := kernel.NewNode(sim.Config{NoParser: true})
-	sem2 := noParse.NewSemaphore("m")
-	ev2 := noParse.NewEvent("e")
-	th2 := noParse.AddTask(task.Spec{Period: 10 * vtime.Millisecond, Prog: task.Program{
-		task.WaitEvent(ev2),
-		task.Acquire(sem2),
-		task.Release(sem2),
-	}})
-	if got := th2.TCB.Spec.Prog[0].Hint; got != task.NoHint {
-		t.Errorf("hint = %d with NoParser", got)
-	}
 }
 
 func TestReportContents(t *testing.T) {

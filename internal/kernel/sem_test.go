@@ -546,8 +546,8 @@ func TestAccessors(t *testing.T) {
 	if k.Name() != "nodeX" || k.Profile() != prof || k.Trace() != nil {
 		t.Error("accessors wrong")
 	}
-	if k.Footprint() == nil || k.NewProcess() <= 0 {
-		t.Error("footprint/process accessors wrong")
+	if k.NewProcess() <= 0 {
+		t.Error("process accessor wrong")
 	}
 	th := k.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 	if th.Name() != "a" {

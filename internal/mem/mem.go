@@ -1,9 +1,8 @@
 // Package mem models the memory subsystem of EMERALDS: address spaces
 // with full memory protection for multi-threaded processes (§3),
 // shared-memory regions mappable into several spaces (the third IPC
-// mechanism of Figure 1), and the static footprint accounting behind
-// the paper's headline claim that the kernel provides "a rich set of OS
-// services in just 13 kbytes of code".
+// mechanism of Figure 1), and the kernel's dynamic RAM accounting
+// against the on-chip budget.
 //
 // There is no virtual memory — the targets run everything out of
 // physical on-chip RAM (§4: "Virtual memory is not a concern in our
@@ -14,6 +13,15 @@ package mem
 import (
 	"fmt"
 )
+
+// PaperKernelSize is the §3 measured code size on the 68040: "a rich
+// set of OS services in just 13 kbytes of code". It is quoted, not
+// derived: the simulator has no code to measure.
+const PaperKernelSize = 13 * 1024
+
+// KernelBudget is the §1 upper bound on the code size of a
+// small-memory RTOS, derived from 32–128 KB on-chip memories.
+const KernelBudget = 20 * 1024
 
 // Perm is an access permission.
 type Perm uint8

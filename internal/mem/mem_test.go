@@ -132,41 +132,3 @@ func TestFaultError(t *testing.T) {
 		}
 	}
 }
-
-// --- footprint ---------------------------------------------------------
-
-func TestFootprintMatchesPaper(t *testing.T) {
-	f := NewFootprint()
-	if f.Total() != PaperKernelSize {
-		t.Errorf("full kernel = %d bytes, want the paper's %d", f.Total(), PaperKernelSize)
-	}
-	if !f.WithinBudget() {
-		t.Error("13 KB kernel must fit the 20 KB budget")
-	}
-}
-
-func TestFootprintStrip(t *testing.T) {
-	f := NewFootprint()
-	before := f.Total()
-	if err := f.Strip("ipc-mailbox"); err != nil {
-		t.Fatal(err)
-	}
-	if f.Total() >= before {
-		t.Error("strip did not shrink the kernel")
-	}
-	if err := f.Strip("ipc-mailbox"); err == nil {
-		t.Error("double strip succeeded")
-	}
-	if err := f.Strip("warp-drive"); err == nil {
-		t.Error("stripping unknown service succeeded")
-	}
-}
-
-func TestFootprintReport(t *testing.T) {
-	rep := NewFootprint().Report()
-	for _, frag := range []string{"scheduler-csd", "semaphores", "total", "budget"} {
-		if !strings.Contains(rep, frag) {
-			t.Errorf("report missing %q", frag)
-		}
-	}
-}

@@ -183,12 +183,6 @@ func MergeShards(shards []*Set) *Set {
 	return out
 }
 
-// Instrumented is implemented by subsystems (schedulers, IPC objects)
-// that accept a counter set to increment from their own hot paths.
-type Instrumented interface {
-	SetMetrics(*Set)
-}
-
 // TaskSummary is the per-task latency digest embedded in artifacts:
 // tail quantiles of one stats.Histogram, in the paper's reporting unit
 // (microseconds).

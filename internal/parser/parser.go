@@ -13,11 +13,7 @@
 // parameter is Op.Hint.
 package parser
 
-import (
-	"fmt"
-
-	"emeralds/internal/task"
-)
+import "emeralds/internal/task"
 
 // hintCarrier reports whether the op is a blocking call that takes the
 // §6.2.1 hint parameter. Acquire itself does not (it is the target);
@@ -47,64 +43,4 @@ func InsertHints(p task.Program) task.Program {
 		}
 	}
 	return out
-}
-
-// InsertHintsAll rewrites every task spec's program in place (specs are
-// values; the returned slice carries the rewritten programs).
-func InsertHintsAll(specs []task.Spec) []task.Spec {
-	out := make([]task.Spec, len(specs))
-	for i, s := range specs {
-		s.Prog = InsertHints(s.Prog)
-		out[i] = s
-	}
-	return out
-}
-
-// Diagnostic flags a hint the parser would not have produced.
-type Diagnostic struct {
-	PC   int
-	Op   task.Op
-	Want int
-}
-
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("pc %d: %v should carry hint %d", d.PC, d.Op, d.Want)
-}
-
-// Check verifies that a program's hints match what InsertHints would
-// produce — useful for validating hand-written programs before boot.
-func Check(p task.Program) []Diagnostic {
-	want := InsertHints(p)
-	var diags []Diagnostic
-	for i := range p {
-		if hintCarrier(p[i]) && p[i].Hint != want[i].Hint {
-			diags = append(diags, Diagnostic{PC: i, Op: p[i], Want: want[i].Hint})
-		}
-	}
-	return diags
-}
-
-// Stats summarises what the parser found in a program.
-type Stats struct {
-	BlockingCalls int
-	Hinted        int // blocking calls immediately preceding an acquire
-	Acquires      int
-}
-
-// Analyze reports hint coverage for a program.
-func Analyze(p task.Program) Stats {
-	var st Stats
-	hinted := InsertHints(p)
-	for i, op := range p {
-		if op.Kind == task.OpAcquire {
-			st.Acquires++
-		}
-		if hintCarrier(op) {
-			st.BlockingCalls++
-			if hinted[i].Hint != task.NoHint {
-				st.Hinted++
-			}
-		}
-	}
-	return st
 }

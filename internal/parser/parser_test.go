@@ -72,63 +72,8 @@ func TestCondWaitHintPreserved(t *testing.T) {
 	}
 }
 
-func TestInsertHintsAll(t *testing.T) {
-	specs := []task.Spec{
-		{Prog: task.Program{task.WaitEvent(0), task.Acquire(1), task.Release(1)}},
-		{Prog: nil},
-	}
-	out := InsertHintsAll(specs)
-	if out[0].Prog[0].Hint != 1 {
-		t.Errorf("hint = %d", out[0].Prog[0].Hint)
-	}
-	if out[1].Prog != nil {
-		t.Error("nil program grew")
-	}
-}
-
-func TestCheck(t *testing.T) {
-	good := InsertHints(task.Program{task.WaitEvent(0), task.Acquire(1), task.Release(1)})
-	if diags := Check(good); len(diags) != 0 {
-		t.Errorf("diagnostics on correct program: %v", diags)
-	}
-	bad := good.Clone()
-	bad[0].Hint = task.NoHint
-	diags := Check(bad)
-	if len(diags) != 1 || diags[0].PC != 0 || diags[0].Want != 1 {
-		t.Errorf("diags = %v", diags)
-	}
-	if diags[0].String() == "" {
-		t.Error("empty diagnostic string")
-	}
-}
-
-func TestAnalyze(t *testing.T) {
-	p := task.Program{
-		task.Recv(0),
-		task.Acquire(1),
-		task.Release(1),
-		task.WaitEvent(2),
-		task.Compute(1),
-		task.Acquire(3),
-		task.Release(3),
-	}
-	st := Analyze(p)
-	if st.BlockingCalls != 2 {
-		t.Errorf("blocking = %d", st.BlockingCalls)
-	}
-	if st.Hinted != 1 {
-		t.Errorf("hinted = %d", st.Hinted)
-	}
-	if st.Acquires != 2 {
-		t.Errorf("acquires = %d", st.Acquires)
-	}
-}
-
 func TestEmptyProgram(t *testing.T) {
 	if out := InsertHints(nil); len(out) != 0 {
 		t.Error("nil program should stay empty")
-	}
-	if st := Analyze(nil); st != (Stats{}) {
-		t.Errorf("stats = %+v", st)
 	}
 }

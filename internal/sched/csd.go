@@ -52,9 +52,8 @@ func NewCSD(profile *costmodel.Profile, part Partition) *CSD {
 // Name implements Scheduler.
 func (s *CSD) Name() string { return fmt.Sprintf("CSD-%d", s.part.NumQueues()) }
 
-// SetMetrics implements metrics.Instrumented: selections and
-// cross-queue PI migrations are counted from the scheduler's own hot
-// paths.
+// SetMetrics binds the counter set that selections and cross-queue PI
+// migrations are counted into, from the scheduler's own hot paths.
 func (s *CSD) SetMetrics(m *metrics.Set) { s.met = m }
 
 // Partition returns the queue partition in effect.

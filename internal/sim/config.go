@@ -45,9 +45,6 @@ type Config struct {
 	// DisablePlaceholder ablates the O(1) place-holder priority
 	// inheritance while keeping the hint mechanism.
 	DisablePlaceholder bool
-	// NoParser skips the §6.2.1 hint-insertion pass over task programs
-	// (experiments that place hints by hand set this).
-	NoParser bool
 	// DeadlineMonotonic assigns fixed priorities by relative deadline
 	// instead of period.
 	DeadlineMonotonic bool

@@ -42,6 +42,13 @@ type Target interface {
 	Fire(*Event)
 }
 
+// closure is the Target of Engine.At and After. A func value is one
+// pointer, so converting it to a Target allocates nothing.
+type closure func()
+
+// Fire implements Target.
+func (f closure) Fire(*Event) { f() }
+
 // Event classes. Completions must observe-before coincident releases:
 // a job finishing at exactly the instant of its next release has met
 // that release, not overrun it.
@@ -68,8 +75,7 @@ type Event struct {
 	seq   uint64
 	label string
 
-	tgt Target // typed dispatch; nil means use fn
-	fn  func() // legacy closure dispatch
+	tgt Target
 
 	// Intrusive links: wheel slot dlist when state == stateWheel,
 	// free-list chain (next only) when state == stateFree.
@@ -172,7 +178,6 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) free(ev *Event) {
 	ev.state = stateFree
 	ev.tgt = nil
-	ev.fn = nil
 	ev.label = ""
 	ev.prev = nil
 	ev.next = e.freelist
@@ -182,12 +187,12 @@ func (e *Engine) free(ev *Event) {
 // At schedules fn to run at instant t. Scheduling in the past panics:
 // that is always a kernel bug, never a recoverable condition.
 func (e *Engine) At(t vtime.Time, label string, fn func()) *Event {
-	return e.schedule(t, ClassDefault, label, nil, fn)
+	return e.Schedule(t, ClassDefault, label, closure(fn))
 }
 
 // After schedules fn to run d after the current instant.
 func (e *Engine) After(d vtime.Duration, label string, fn func()) *Event {
-	return e.schedule(e.now.Add(d), ClassDefault, label, nil, fn)
+	return e.Schedule(e.now.Add(d), ClassDefault, label, closure(fn))
 }
 
 // Schedule is the zero-allocation scheduling path: tgt.Fire(ev) runs
@@ -196,16 +201,12 @@ func (e *Engine) After(d vtime.Duration, label string, fn func()) *Event {
 // Among events at the same instant, lower classes fire first (FIFO
 // within a class).
 func (e *Engine) Schedule(t vtime.Time, class uint8, label string, tgt Target) *Event {
-	return e.schedule(t, class, label, tgt, nil)
-}
-
-func (e *Engine) schedule(t vtime.Time, class uint8, label string, tgt Target, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v, before now %v", label, t, e.now))
 	}
 	ev := e.alloc()
 	ev.when, ev.class, ev.seq = t, class, e.seq
-	ev.label, ev.tgt, ev.fn = label, tgt, fn
+	ev.label, ev.tgt = label, tgt
 	e.seq++
 	e.place(ev)
 	e.pending++
@@ -435,11 +436,7 @@ func (e *Engine) dispatch(ev *Event) {
 	ev.state = stateFiring
 	e.now = ev.when
 	e.fired++
-	if ev.tgt != nil {
-		ev.tgt.Fire(ev)
-	} else {
-		ev.fn()
-	}
+	ev.tgt.Fire(ev)
 	e.free(ev)
 }
 

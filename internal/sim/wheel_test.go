@@ -57,12 +57,12 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 			id := seq
 			seq++
 			want = append(want, ref{when, class, id})
-			e.schedule(when, class, "p", nil, func() {
+			e.Schedule(when, class, "p", closure(func() {
 				got = append(got, id)
 				if depth < 2 && rng.Intn(3) == 0 {
 					add(depth + 1) // schedule more from inside dispatch
 				}
-			})
+			}))
 		}
 		for i := 0; i < 200; i++ {
 			add(0)

@@ -45,10 +45,12 @@ go run ./cmd/emreport -policy rm -ms 50 -quiet -json-out "$tmp/report.json" >/de
 echo "== single-CPU artifact regression (deterministic content vs results/) =="
 # The multicore refactor guarantees the classic one-CPU build is
 # byte-for-byte unchanged: regenerate the committed simulation
-# artifacts and compare, ignoring only the volatile "run" block.
-go run ./cmd/emsim -ms 500 -attrib -quiet -json-out "$tmp/emsim.json" -trace-out "$tmp/emsim-trace.json" >/dev/null
+# artifacts and emsim's printed report and compare, ignoring only the
+# artifacts' volatile "run" block.
+go run ./cmd/emsim -ms 500 -attrib -quiet -json-out "$tmp/emsim.json" -trace-out "$tmp/emsim-trace.json" >"$tmp/emsim.txt"
 go run ./scripts/artifactdiff results/emsim.json "$tmp/emsim.json"
 cmp results/emsim-trace.json "$tmp/emsim-trace.json"
+cmp results/emsim.txt "$tmp/emsim.txt"
 go run ./cmd/emreport -policy rm -ms 500 -quiet -json -json-out "$tmp/emreport.json" -txt-out "$tmp/emreport.txt" >/dev/null
 go run ./scripts/artifactdiff results/emreport.json "$tmp/emreport.json"
 cmp results/emreport.txt "$tmp/emreport.txt"
@@ -81,11 +83,14 @@ tail -n +2 "$tmp/emstat.txt" | cmp "$tmp/emstat.want" -
 
 echo "== breakdown figure regression (Figures 3-5 vs results/) =="
 # The breakdown percentages are pinned exactly: regenerate Figures 3-5
-# at the committed 100 workloads/point and compare them with results/,
-# ignoring only the volatile "run" block (about a minute on 2 CPUs).
+# at the committed 100 workloads/point and compare the artifacts, less
+# their volatile "run" block, and the printed tables with results/
+# (about a minute on 2 CPUs).
 for div in 1 2 3; do
-    go run ./cmd/breakdown -div "$div" -workloads 100 -quiet -json-out "$tmp/figure$((div + 2)).json" >/dev/null
-    go run ./scripts/artifactdiff "results/figure$((div + 2)).json" "$tmp/figure$((div + 2)).json"
+    fig="figure$((div + 2))"
+    go run ./cmd/breakdown -div "$div" -workloads 100 -quiet -json-out "$tmp/$fig.json" >"$tmp/$fig.txt"
+    go run ./scripts/artifactdiff "results/$fig.json" "$tmp/$fig.json"
+    cmp "results/$fig.txt" "$tmp/$fig.txt"
 done
 
 echo "== partition search regression (csdsearch vs results/) =="
