@@ -81,6 +81,17 @@ go run ./cmd/emstat "$tmp/telemetry.json" >"$tmp/emstat.txt"
 tail -n +2 results/emstat.txt >"$tmp/emstat.want"
 tail -n +2 "$tmp/emstat.txt" | cmp "$tmp/emstat.want" -
 
+echo "== example output regression (examples vs results/examples/) =="
+# The examples are the only callers of devices, fieldbus ports and the
+# interrupt entry points (StateWriteISR, SignalEventISR, InjectMessage,
+# ReleaseAperiodic). Their printed output is deterministic, so a fresh
+# run of each must match its committed copy byte for byte.
+for dir in examples/*/; do
+    ex=$(basename "$dir")
+    go run "./$dir" >"$tmp/example-$ex.txt"
+    cmp "results/examples/$ex.txt" "$tmp/example-$ex.txt"
+done
+
 echo "== breakdown figure regression (Figures 3-5 vs results/) =="
 # The breakdown percentages are pinned exactly: regenerate Figures 3-5
 # at the committed 100 workloads/point and compare the artifacts, less

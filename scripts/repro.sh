@@ -50,4 +50,10 @@ go run ./cmd/csdsearch -n 100 -u 0.7 -json | tee results/csdsearch.txt
 echo "== Ablations (beyond the paper) =="
 go run ./cmd/ablate -workers "$WORKERS" -json -json-out results/ablation.json | tee results/ablation.txt
 
+echo "== Examples (printed output) =="
+mkdir -p results/examples
+for dir in examples/*/; do
+    go run "./$dir" >"results/examples/$(basename "$dir").txt"
+done
+
 echo "done; see results/ (.txt tables + .json artifacts)"
