@@ -11,7 +11,7 @@
 //     occupied the CPU instead;
 //   - Blocked: waiting on a semaphore (attributed to the holder, with
 //     the full priority-inheritance blocking chain resolved) or on a
-//     non-semaphore reason (delay, event, mailbox, suspension);
+//     non-semaphore reason (delay, event, mailbox);
 //   - Overhead: scheduler, context-switch, and kernel-operation time
 //     consumed inside the task's own occupancies.
 //
@@ -104,9 +104,10 @@ type Activation struct {
 	EndAt      vtime.Time
 	Deadline   vtime.Time // absolute; ReleasedAt + relative deadline
 	Missed     bool
-	// Aborted marks activations torn down by a fault (job-killed) or
-	// cut off by the end of the trace; their partition is still exact
-	// over [ReleasedAt, EndAt] but they never retired.
+	// Aborted marks activations cut off by the end of the trace or, in
+	// a trace from a kernel that kills faulting jobs, torn down by a
+	// "job-killed" block; their partition is still exact over
+	// [ReleasedAt, EndAt] but they never retired.
 	Aborted  bool
 	Response vtime.Duration
 	Comp     [NumComponents]vtime.Duration
@@ -167,8 +168,8 @@ type Inversion struct {
 func (iv Inversion) Dur() vtime.Duration { return iv.To.Sub(iv.From) }
 
 // Overrun is a lost release: the previous job of the task was still
-// running (or the task was suspended) at release time — a guaranteed
-// miss with no activation of its own to partition.
+// running at release time — a guaranteed miss with no activation of
+// its own to partition.
 type Overrun struct {
 	Task string
 	At   vtime.Time
@@ -198,7 +199,7 @@ const (
 	stOff taskState = iota
 	stReady
 	stRunning
-	stBlocked    // non-semaphore block (delay, event, mailbox, suspend)
+	stBlocked    // non-semaphore block (delay, event, mailbox)
 	stBlockedSem // semaphore wait
 	stMigrating  // in transit between CPUs (multicore traces)
 )
@@ -670,9 +671,9 @@ func (r *replay) step(e *trace.Event) {
 			return
 		}
 		if t.state == stMigrating {
-			// Blocked mid-transit (e.g. suspension): the transit span
-			// keeps accruing as Migration; restore the blocked state at
-			// arrival instead.
+			// Blocked mid-transit, as a suspension in a trace from another
+			// kernel can be: the transit span keeps accruing as
+			// Migration; restore the blocked state at arrival instead.
 			t.premigrate = stBlocked
 			t.reason = r.labels.id(e.Detail)
 			return

@@ -202,9 +202,9 @@ func (r *refReplay) step(e trace.Event) {
 			return
 		}
 		if t.state == stMigrating {
-			// Blocked mid-transit (e.g. suspension): the transit span
-			// keeps accruing as Migration; restore the blocked state at
-			// arrival instead.
+			// Blocked mid-transit, as a suspension in a trace from another
+			// kernel can be: the transit span keeps accruing as
+			// Migration; restore the blocked state at arrival instead.
 			t.premigrate = stBlocked
 			t.reason = e.Detail
 			return

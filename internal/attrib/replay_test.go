@@ -66,10 +66,9 @@ func differingField(a, b any, skip ...string) string {
 
 // randomNode builds a random contended workload: nested mutexes (so
 // blocking chains form), a counting semaphore (which priority
-// inheritance cannot cover, so inversions occur), delays, events,
-// mailbox traffic and jobs killed by a memory fault, some of them inside
-// a critical section. It also schedules suspensions and, on more than
-// one CPU, migrations.
+// inheritance cannot cover, so inversions occur), delays, events and
+// mailbox traffic. It also schedules event signals from interrupt
+// context and, on more than one CPU, migrations.
 func randomNode(t *testing.T, seed int64, cpus int) *kernel.Node {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -121,17 +120,6 @@ func randomNode(t *testing.T, seed int64, cpus int) *kernel.Node {
 				} else {
 					prog = append(prog, task.Compute(c), task.Recv(mbox))
 				}
-			case 7:
-				if rng.Intn(4) == 0 { // a fault, sometimes inside a critical section
-					m := mutexes[rng.Intn(len(mutexes))]
-					if rng.Intn(2) == 0 {
-						prog = append(prog, task.Acquire(m), task.Compute(c), task.Load(9999, 0, 8), task.Release(m))
-					} else {
-						prog = append(prog, task.Compute(c), task.Load(9999, 0, 8))
-					}
-					break
-				}
-				fallthrough
 			default:
 				prog = append(prog, task.Compute(c))
 			}
@@ -150,15 +138,10 @@ func randomNode(t *testing.T, seed int64, cpus int) *kernel.Node {
 	ths := k.Threads()
 	for ms := 1 + rng.Intn(4); ms < 50; ms += 1 + rng.Intn(6) {
 		at := vtime.Time(0).Add(vtime.Duration(ms) * vtime.Millisecond)
-		th := ths[rng.Intn(len(ths))]
-		switch {
-		case cpus > 1 && rng.Intn(2) == 0:
+		if cpus > 1 && rng.Intn(2) == 0 {
+			th := ths[rng.Intn(len(ths))]
 			k.Engine().At(at, "test:migrate", func() { _ = k.Migrate(th, (th.TCB.CPU+1)%cpus) })
-		case rng.Intn(2) == 0:
-			k.Engine().At(at, "test:suspend", func() { k.Suspend(th) })
-			k.Engine().At(at.Add(vtime.Duration(100+rng.Intn(3000))*vtime.Microsecond), "test:resume",
-				func() { k.Resume(th) })
-		default:
+		} else {
 			k.Engine().At(at, "test:signal", func() { k.SignalEventISR(ev) })
 		}
 	}

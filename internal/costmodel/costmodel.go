@@ -96,11 +96,10 @@ type Profile struct {
 
 	// Mailbox IPC: fixed cost per send/receive plus a per-byte copy
 	// cost (the 68040 copies roughly 4 bytes per 10 cycles).
-	MailboxOp      vtime.Duration
-	CopyPerByte    vtime.Duration
-	StateMsgOp     vtime.Duration // fixed cost of a state-message read or write
-	SharedMemMapOp vtime.Duration // mapping a region into an address space
-	VLinkOp        vtime.Duration // fixed cost of one MPMC virtual-link enqueue or dequeue
+	MailboxOp   vtime.Duration
+	CopyPerByte vtime.Duration
+	StateMsgOp  vtime.Duration // fixed cost of a state-message read or write
+	VLinkOp     vtime.Duration // fixed cost of one MPMC virtual-link enqueue or dequeue
 
 	// Multicore costs (beyond the paper; single-CPU runs never charge
 	// them). Migration is the Quest-V-style segment-boundary move of a
@@ -158,10 +157,9 @@ func M68040() *Profile {
 		TimerInterrupt: vtime.Micros(2.0),
 		InterruptEntry: vtime.Micros(1.5),
 
-		MailboxOp:      vtime.Micros(4.0),
-		CopyPerByte:    vtime.Micros(0.1),
-		StateMsgOp:     vtime.Micros(1.0),
-		SharedMemMapOp: vtime.Micros(5.0),
+		MailboxOp:   vtime.Micros(4.0),
+		CopyPerByte: vtime.Micros(0.1),
+		StateMsgOp:  vtime.Micros(1.0),
 		// A virtual-link slot claim is a bus-locked ticket increment
 		// plus a sequence-stamp publish — a couple of atomic RMWs,
 		// cheaper than the mailbox path's queue bookkeeping but
@@ -311,7 +309,6 @@ func Scaled(base *Profile, factor float64, name string) *Profile {
 	p.MailboxOp = s(base.MailboxOp)
 	p.CopyPerByte = s(base.CopyPerByte)
 	p.StateMsgOp = s(base.StateMsgOp)
-	p.SharedMemMapOp = s(base.SharedMemMapOp)
 	p.VLinkOp = s(base.VLinkOp)
 	p.Migration = s(base.Migration)
 	p.IPI = s(base.IPI)

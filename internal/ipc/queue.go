@@ -2,8 +2,9 @@
 // Figure 1: the bounded, copying message queue behind the kernel's
 // mailboxes and virtual links, and the state messages reconstructed
 // from §7 — the single-writer multi-reader wait-free mechanism EMERALDS
-// advocates for periodic sensor/actuator data. Shared-memory IPC is
-// provided by package mem (regions mapped into several address spaces).
+// advocates for periodic sensor/actuator data. Figure 1's third
+// mechanism, shared memory between protected address spaces, is not
+// modelled: the simulator has no address spaces.
 //
 // This package holds the pure data structures; blocking semantics,
 // cost charging and scheduler interaction live in the kernel.

@@ -226,19 +226,13 @@ func (k *Kernel) preemptSegment(detail string) bool {
 	return finished
 }
 
-// traceOccupancyEnd emits a trace event for a thread that just blocked
-// or had its job torn down. When th is the thread occupying the
-// executing CPU (current, with no segment in flight — op handlers run
-// at segment end), the event ends its occupancy and carries the
-// overhead consumed since dispatch; for any other thread it is a plain
-// event.
+// traceOccupancyEnd emits the trace event of a thread blocking in an
+// op handler. Op handlers run at segment end for the thread current on
+// the executing CPU, so the event ends its occupancy and carries the
+// overhead consumed since dispatch.
 func (k *Kernel) traceOccupancyEnd(th *Thread, kind trace.Kind, detail string) {
-	if th == k.exec.current && k.exec.seg == nil {
-		k.trAddDur(kind, th.TCB.Name, detail, k.exec.ovAcc)
-		k.exec.ovAcc = 0
-		return
-	}
-	k.trAdd(kind, th.TCB.Name, detail)
+	k.trAddDur(kind, th.TCB.Name, detail, k.exec.ovAcc)
+	k.exec.ovAcc = 0
 }
 
 // reschedule reschedules the executing CPU, then serves any cross-CPU
@@ -289,9 +283,11 @@ func (k *Kernel) resched() {
 	if next == curTCB {
 		return
 	}
+	// In both preemption branches the thread losing the CPU is still
+	// ready, so Select found a thread to run: next is not nil there.
 	if c.seg != nil {
 		th := c.seg.th
-		if k.preemptSegment(k.preemptDetail(next)) {
+		if k.preemptSegment(k.thOf(next).forLbl) {
 			// The boundary completed the job; completeJob records it at
 			// the true retire instant and runs its own reschedule.
 			k.completeJob(th)
@@ -305,7 +301,7 @@ func (k *Kernel) resched() {
 		// preemption would, so emit the Preempt with the consumed
 		// overhead attached — otherwise replay cannot close the span
 		// and the leftover ovAcc would pollute the next occupancy.
-		k.trAddDur(trace.Preempt, curTCB.Name, k.preemptDetail(next), c.ovAcc)
+		k.trAddDur(trace.Preempt, curTCB.Name, k.thOf(next).forLbl, c.ovAcc)
 		c.ovAcc = 0
 	}
 	if next == nil {
@@ -323,15 +319,6 @@ func (k *Kernel) resched() {
 	c.current = k.thOf(next)
 	k.trAdd(trace.Dispatch, next.Name, "")
 	k.continueThread(c.current)
-}
-
-// preemptDetail names the preemptor in a Preempt trace event: "for
-// <task>", precomputed per thread, or "for idle".
-func (k *Kernel) preemptDetail(next *task.TCB) string {
-	if next == nil {
-		return "for idle"
-	}
-	return k.thOf(next).forLbl
 }
 
 // continueThread starts the thread's next op segment. The thread must
@@ -390,7 +377,8 @@ func (k *Kernel) opCharge(op task.Op) vtime.Duration {
 	case task.OpAcquire, task.OpRelease:
 		return p.Syscall + p.SemBookkeeping
 	case task.OpWaitEvent, task.OpSignalEvent,
-		task.OpCondWait, task.OpCondSignal, task.OpCondBroadcast:
+		task.OpCondWait, task.OpCondSignal, task.OpCondBroadcast,
+		task.OpDelay: // a delay's syscall arms its timer
 		return p.Syscall
 	case task.OpSend, task.OpRecv:
 		return p.Syscall + p.MailboxTransfer(op.Size)
@@ -406,8 +394,6 @@ func (k *Kernel) opCharge(op task.Op) vtime.Duration {
 		return p.VLinkTransfer(op.Size, op.Batch())
 	case task.OpVRecv:
 		return p.VLinkTransfer(op.Size, 1)
-	case task.OpLoad, task.OpStore:
-		return vtime.Duration(op.Size) * p.CopyPerByte
 	case task.OpIO:
 		c := p.Syscall
 		if d := k.device(op.Obj); d != nil {
@@ -416,8 +402,6 @@ func (k *Kernel) opCharge(op task.Op) vtime.Duration {
 		return c
 	case task.OpBusSend:
 		return p.Syscall + vtime.Duration(op.Size)*p.CopyPerByte
-	case task.OpDelay:
-		return k.delayCharge()
 	default:
 		return 0
 	}
@@ -464,8 +448,6 @@ func (k *Kernel) performOp(th *Thread, op task.Op) {
 		k.doCondSignal(th, op, false)
 	case task.OpCondBroadcast:
 		k.doCondSignal(th, op, true)
-	case task.OpLoad, task.OpStore:
-		k.doMemOp(th, op)
 	case task.OpIO:
 		k.doIO(th, op)
 	case task.OpBusSend:
@@ -524,15 +506,6 @@ func (k *Kernel) onRelease(th *Thread) {
 	th.nextRel = th.nextRel.Add(th.TCB.Spec.Period)
 	k.scheduleRelease(th)
 	k.charge(k.prof.TimerInterrupt, &k.stats.TimerCharge)
-	if th.suspended {
-		// Suspended tasks lose their releases (taskSuspend semantics);
-		// each lost job is an overrun and a guaranteed miss.
-		th.TCB.Misses++
-		k.exec.met.Inc(metrics.Overruns)
-		k.exec.met.Inc(metrics.DeadlineMisses)
-		k.trAdd(trace.Overrun, th.TCB.Name, "suspended")
-		return
-	}
 	if th.jobActive {
 		// Previous job still running: period overrun. The release is
 		// lost (the job in flight continues); its lateness is counted

@@ -36,6 +36,17 @@ func newRMNode(prof *costmodel.Profile, optimized bool) (*Node, *Kernel) {
 	return newNode(sim.Config{Policy: sim.PolicyRM, Profile: prof, StandardSem: !optimized})
 }
 
+// eventsOf returns the trace events of kind for the named task.
+func eventsOf(k *Kernel, kind trace.Kind, name string) []trace.Event {
+	var out []trace.Event
+	for _, e := range k.Trace().Events() {
+		if e.Kind == kind && e.Task == name {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func boot(t *testing.T, n *Node) {
 	t.Helper()
 	if err := n.Boot(); err != nil {

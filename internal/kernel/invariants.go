@@ -46,7 +46,7 @@ func (k *Kernel) CheckInvariants() []string {
 
 	// Semaphores: a free mutex (or a counting semaphore with permits)
 	// must not strand waiters, and a held mutex must be held by a live
-	// job — completeJob/killJob release everything a job held.
+	// job — completeJob releases everything a job held.
 	for _, s := range k.sems {
 		if s.isMutex() {
 			if s.owner == nil && s.waiters.Len() > 0 {

@@ -2,10 +2,11 @@
 // of the discrete-event simulator: threads executing task programs in
 // virtual time, preemptive scheduling through a pluggable policy
 // (package sched), the §6 semaphore implementation in both standard and
-// optimized forms, condition variables, events, mailbox and
-// state-message IPC, memory-protected processes, timers, interrupt
-// handling, and kernel support for user-level device drivers — the
-// full service set of Figure 1.
+// optimized forms, condition variables, events, mailbox, virtual-link
+// and state-message IPC, task delays, interrupt entry points, and
+// kernel support for user-level device drivers: the services of
+// Figure 1 less memory-protected processes, which nothing used
+// (DESIGN.md §6).
 //
 // Every kernel operation charges calibrated virtual time from the cost
 // model, so the overheads the paper measures on its 68040 target are
@@ -80,8 +81,7 @@ func ParseLockRegime(s string) (LockRegime, error) {
 // Thread is a kernel thread: a TCB plus the kernel-private state the
 // semaphore and IPC layers need.
 type Thread struct {
-	TCB  *task.TCB
-	Proc int // address space id
+	TCB *task.TCB
 
 	holder     ksync.Holder
 	waitingSem *semaphore       // semaphore this thread is queued on, if any
@@ -92,11 +92,8 @@ type Thread struct {
 	blockHist  *stats.Histogram // semaphore blocking times; same lifecycle as respHist
 	semBlockAt vtime.Time       // instant the thread last blocked on a semaphore
 	jobActive  bool
-	suspended  bool
-	resumable  bool // Resume makes it ready: it was ready when suspended, or woken since
-	migrating  bool // in transit between CPUs (in no scheduler's queues)
-	migrateTo  int  // deferred migration target; -1 when none
-	delayGen   uint64
+	migrating  bool                // in transit between CPUs (in no scheduler's queues)
+	migrateTo  int                 // deferred migration target; -1 when none
 	beforeJob  func() task.Program // rebuilds the job body at release (polling server)
 	releaseLbl string
 	segLbl     string        // precomputed segment label ("seg:" + name)
@@ -253,7 +250,7 @@ type Kernel struct {
 	draining bool // reschedule is draining cross-CPU marks (re-entrancy guard)
 
 	threads []*Thread
-	// Slab storage behind threads: AddTaskIn carves Thread and TCB
+	// Slab storage behind threads: AddTask carves Thread and TCB
 	// values out of these (replaced, never grown, so pointers stay
 	// valid). One heap object per threadSlabSize tasks instead of two
 	// per task.
@@ -267,16 +264,13 @@ type Kernel struct {
 	mboxes []*link
 	vlinks []*link
 	states []*ipc.StateMessage
-	memsys *mem.System
 	devs   []Device
-	isrs   map[int]func(*Kernel)
 	ports  []BusPort
 
-	ram     *mem.RAM
-	ramErr  error
-	defProc int
-	stats   Stats // charge durations only; Stats derives the counts
-	met     *metrics.Set
+	ram    *mem.RAM
+	ramErr error
+	stats  Stats // charge durations only; Stats derives the counts
+	met    *metrics.Set
 
 	// OnJobComplete, when set before Boot, is invoked at the instant a
 	// job's last op finishes, before any teardown charges — the
@@ -343,7 +337,6 @@ func newKernel(cfg sim.Config) *Kernel {
 		record:   cfg.RecordResponses,
 		tr:       tr,
 		lockReg:  regime,
-		memsys:   mem.NewSystem(),
 		ram:      mem.NewRAM(cfg.RAMBudget),
 	}
 	k.cpus = make([]*cpu, m)
@@ -355,7 +348,6 @@ func newKernel(cfg sim.Config) *Kernel {
 	// before Boot (mailboxes, state messages) bind their Observe
 	// counters here.
 	k.met = k.cpus[0].met
-	k.memsys.NewSpace() // space 0: kernel
 	return k
 }
 
@@ -505,24 +497,11 @@ func (k *Kernel) ReadyCountOn(c int) int {
 	return n
 }
 
-// NewProcess creates an address space and returns its id.
-func (k *Kernel) NewProcess() int { return k.memsys.NewSpace() }
-
-// AddTask creates a periodic (or, with Period 0, aperiodic) thread in
-// the default application process (created on first use; space 0 is
-// the kernel's).
-func (k *Kernel) AddTask(spec task.Spec) *Thread {
-	if k.defProc == 0 {
-		k.defProc = k.memsys.NewSpace()
-	}
-	return k.AddTaskIn(k.defProc, spec)
-}
-
-// AddTaskIn creates a thread in the given process.
-// threadSlabSize is the Thread/TCB slab granularity in AddTaskIn.
+// threadSlabSize is the Thread/TCB slab granularity in AddTask.
 const threadSlabSize = 16
 
-func (k *Kernel) AddTaskIn(proc int, spec task.Spec) *Thread {
+// AddTask creates a periodic (or, with Period 0, aperiodic) thread.
+func (k *Kernel) AddTask(spec task.Spec) *Thread {
 	if k.booted {
 		panic("kernel: AddTask after Boot")
 	}
@@ -548,7 +527,6 @@ func (k *Kernel) AddTaskIn(proc int, spec task.Spec) *Thread {
 	rel, seg := len("release:")+len(tcb.Name), len("seg:")+len(tcb.Name)
 	joint := "release:" + tcb.Name + "seg:" + tcb.Name + "for " + tcb.Name
 	th.TCB = tcb
-	th.Proc = proc
 	th.releaseLbl = joint[:rel]
 	th.segLbl = joint[rel : rel+seg]
 	th.forLbl = joint[rel+seg:]

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"emeralds/internal/costmodel"
-	"emeralds/internal/mem"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
@@ -188,52 +187,6 @@ func TestStateValueDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestMemoryProtectionFaultKillsJob(t *testing.T) {
-	prof := costmodel.Zero()
-	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	region := k.memsys.NewRegion("priv", 16)
-	victim := k.AddTask(task.Spec{Name: "victim", Period: 10 * vtime.Millisecond,
-		Prog: task.Program{
-			task.Load(region.ID, 0, 8), // not mapped into the task's space
-			task.Compute(vtime.Millisecond),
-		}})
-	healthy := k.AddTask(task.Spec{Name: "healthy", Period: 10 * vtime.Millisecond,
-		WCET: vtime.Millisecond})
-	boot(t, n)
-	k.Run(50 * vtime.Millisecond)
-	if k.Stats().Faults == 0 {
-		t.Fatal("no fault recorded")
-	}
-	if victim.TCB.Completions != 0 {
-		t.Errorf("victim completed %d jobs past a fault", victim.TCB.Completions)
-	}
-	if healthy.TCB.Completions < 4 {
-		t.Errorf("healthy task starved: %d", healthy.TCB.Completions)
-	}
-}
-
-func TestMemoryMappedAccessWorks(t *testing.T) {
-	prof := costmodel.Zero()
-	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	region := k.memsys.NewRegion("shared", 16)
-	th := k.AddTask(task.Spec{Name: "rw", Period: 10 * vtime.Millisecond,
-		Prog: task.Program{
-			task.Store(region.ID, 0, 4242),
-			task.Load(region.ID, 0, 8),
-		}})
-	if err := k.memsys.Map(th.Proc, region.ID, mem.ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	boot(t, n)
-	k.Run(15 * vtime.Millisecond)
-	if th.LastMsg() != 4242 {
-		t.Errorf("loaded %d", th.LastMsg())
-	}
-	if k.Stats().Faults != 0 {
-		t.Errorf("faults = %d", k.Stats().Faults)
-	}
-}
-
 type fakeDevice struct {
 	name  string
 	calls int
@@ -282,26 +235,15 @@ func TestISRSignalsEvent(t *testing.T) {
 	ev := k.NewEvent("irq-ev")
 	th := k.AddTask(task.Spec{Name: "handler-task", Period: 20 * vtime.Millisecond,
 		Prog: task.Program{task.WaitEvent(ev), task.Compute(vtime.Millisecond)}})
-	k.BindISR(3, func(k *Kernel) { k.SignalEventISR(ev) })
 	boot(t, n)
-	k.RaiseAfter(5*vtime.Millisecond, 3)
-	k.RaiseAfter(25*vtime.Millisecond, 3)
+	for _, at := range []vtime.Duration{5 * vtime.Millisecond, 25 * vtime.Millisecond} {
+		k.Engine().At(vtime.Time(at), "irq", func() { k.SignalEventISR(ev) })
+	}
 	k.Run(45 * vtime.Millisecond)
-	if th.TCB.Completions != 2 {
-		t.Errorf("completions = %d", th.TCB.Completions)
-	}
-	if k.Stats().Interrupts != 2 {
-		t.Errorf("interrupts = %d", k.Stats().Interrupts)
-	}
-}
-
-func TestUnboundInterruptIsHarmless(t *testing.T) {
-	prof := costmodel.Zero()
-	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	boot(t, n)
-	k.Raise(42) // no handler bound: counted, no crash
-	if k.Stats().Interrupts != 1 {
-		t.Errorf("interrupts = %d", k.Stats().Interrupts)
+	// Each job waits from its release to the interrupt 5 ms later, then
+	// computes for 1 ms.
+	if th.TCB.Completions != 2 || th.TCB.MaxResp != 6*vtime.Millisecond {
+		t.Errorf("completions %d, response %v; want 2 jobs of 6ms", th.TCB.Completions, th.TCB.MaxResp)
 	}
 }
 
@@ -339,24 +281,7 @@ func TestBusSendReachesPort(t *testing.T) {
 	}
 }
 
-func TestSetAlarm(t *testing.T) {
-	prof := costmodel.Zero()
-	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	ev := k.NewEvent("alarm-ev")
-	sleeper := k.AddTask(task.Spec{Name: "sleeper", Period: 50 * vtime.Millisecond,
-		Prog: task.Program{task.WaitEvent(ev), task.Compute(vtime.Millisecond)}})
-	boot(t, n)
-	k.SetAlarm(5*vtime.Millisecond, ev)
-	k.Run(10 * vtime.Millisecond)
-	if sleeper.TCB.Completions != 1 {
-		t.Errorf("completions = %d", sleeper.TCB.Completions)
-	}
-	if sleeper.TCB.MaxResp < 5*vtime.Millisecond || sleeper.TCB.MaxResp > 7*vtime.Millisecond {
-		t.Errorf("response = %v, want ≈ alarm delay", sleeper.TCB.MaxResp)
-	}
-}
-
-func TestSetAlarmInvalidEventPanics(t *testing.T) {
+func TestSignalEventISRInvalidEventPanics(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
 	boot(t, n)
@@ -365,7 +290,7 @@ func TestSetAlarmInvalidEventPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	k.SetAlarm(vtime.Millisecond, 7)
+	k.SignalEventISR(7)
 }
 
 // When several senders sleep on a full mailbox, each freed slot must go

@@ -65,8 +65,8 @@ func Boot(cfg sim.Config, setup func(*Node) error) (*Node, error) {
 	return n, nil
 }
 
-// Kernel exposes the underlying kernel for advanced wiring (ISRs,
-// devices, bus ports) and direct object access.
+// Kernel exposes the underlying kernel for advanced wiring (interrupt
+// entry points, devices, bus ports) and direct object access.
 func (n *Node) Kernel() *Kernel { return n.kern }
 
 // Config returns the configuration the node was built from (with
@@ -88,14 +88,6 @@ func (n *Node) AddTask(spec task.Spec) *Thread {
 		spec.Prog = parser.InsertHints(spec.Prog)
 	}
 	return n.kern.AddTask(spec)
-}
-
-// AddTaskIn is AddTask into a specific process.
-func (n *Node) AddTaskIn(proc int, spec task.Spec) *Thread {
-	if spec.Prog != nil {
-		spec.Prog = parser.InsertHints(spec.Prog)
-	}
-	return n.kern.AddTaskIn(proc, spec)
 }
 
 // Convenience delegates for kernel object creation.
@@ -128,9 +120,6 @@ func (n *Node) NewVLink(name string, capacity int, drop bool) int {
 func (n *Node) NewStateMessage(name string, depth, size int) int {
 	return n.kern.NewStateMessage(name, depth, size)
 }
-
-// NewProcess creates an address space.
-func (n *Node) NewProcess() int { return n.kern.NewProcess() }
 
 // Boot places the tasks on the CPUs once (sched.AssignCPUs, which
 // honors Spec.Affinity), builds one scheduler instance per CPU from the

@@ -188,9 +188,6 @@ func TestObjectCreationDelegates(t *testing.T) {
 		n.NewMailbox("m", 4) != 0 || n.NewStateMessage("s", 3, 8) != 0 {
 		t.Error("object ids")
 	}
-	if n.NewProcess() <= 0 {
-		t.Error("process id")
-	}
 }
 
 func TestStandardSemConfig(t *testing.T) {

@@ -191,10 +191,10 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 		k.trAdd(trace.Restore, th.TCB.Name, s.name)
 	}
 	// §6.3.1: wake the pre-acquire threads that were re-blocked when
-	// the semaphore was taken; they proceed to their acquire calls. A
-	// suspended one rejoins the pre-acquire queue but stays parked.
+	// the semaphore was taken; they proceed to their acquire calls.
 	for _, w := range s.blocked {
-		k.readyUnlessSuspended(w)
+		w.TCB.State = task.Ready
+		k.unblockTask(w.TCB)
 		s.preAcq = append(s.preAcq, w)
 		w.preAcq = s
 	}
@@ -211,7 +211,8 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 		// its own acquire (standard block or §6.2 hint block), or the
 		// cond-wait op whose mutex it is re-taking.
 		k.advancePastLockOp(w, s)
-		k.readyUnlessSuspended(w) // a suspended w holds the lock but runs after Resume
+		w.TCB.State = task.Ready
+		k.unblockTask(w.TCB)
 		k.exec.met.Inc(metrics.SemGrants)
 		if k.record {
 			k.ensureHists(w)
@@ -227,10 +228,9 @@ func (k *Kernel) releaseInternal(th *Thread, s *semaphore) {
 }
 
 // releaseAllHeld force-releases every semaphore the thread still holds
-// — job teardown (completion with unbalanced acquire/release, or a
-// fault killing the job mid-critical-section) must not leak locks, or
-// every future contender deadlocks. Each forced release is surfaced as
-// a fault: it is always an application bug.
+// — a job completing with unbalanced acquire/release must not leak
+// locks, or every future contender deadlocks. Each forced release is
+// surfaced as a fault: it is always an application bug.
 func (k *Kernel) releaseAllHeld(th *Thread) {
 	for th.holder.HeldCount() > 0 {
 		id, ok := th.holder.TopHeldSem()
@@ -369,12 +369,6 @@ func (k *Kernel) enrollPreAcq(th *Thread, s *semaphore) {
 // wait structure. Reports whether the thread became ready; the caller
 // reschedules.
 func (k *Kernel) wakeup(th *Thread) bool {
-	if th.suspended {
-		// Suspended threads absorb their wakeup and stay parked;
-		// Resume makes them runnable again (taskSuspend semantics).
-		th.resumable = true
-		return false
-	}
 	hint := th.TCB.PendingHint
 	th.TCB.PendingHint = task.NoHint
 	if k.optHints && hint >= 0 && hint < len(k.sems) {
@@ -398,19 +392,6 @@ func (k *Kernel) wakeup(th *Thread) bool {
 	th.TCB.State = task.Ready
 	k.unblockTask(th.TCB)
 	k.trAdd(trace.UnblockEv, th.TCB.Name, "")
-	return true
-}
-
-// readyUnlessSuspended makes a thread whose wait has ended ready. A
-// suspended thread absorbs the wakeup instead and stays parked until
-// Resume, as in wakeup. Reports whether the thread became ready.
-func (k *Kernel) readyUnlessSuspended(th *Thread) bool {
-	if th.suspended {
-		th.resumable = true
-		return false
-	}
-	th.TCB.State = task.Ready
-	k.unblockTask(th.TCB)
 	return true
 }
 
@@ -569,9 +550,9 @@ func (k *Kernel) doCondSignal(th *Thread, op task.Op, broadcast bool) {
 				k.trAdd(trace.SemAcquire, wTCB.Name, m.name)
 			}
 			wTCB.PC++
-			if k.readyUnlessSuspended(w) {
-				k.trAdd(trace.UnblockEv, wTCB.Name, c.name)
-			}
+			wTCB.State = task.Ready
+			k.unblockTask(wTCB)
+			k.trAdd(trace.UnblockEv, wTCB.Name, c.name)
 		} else {
 			// Mutex held: move the waiter onto the mutex queue with
 			// priority inheritance; it stays blocked and is granted the

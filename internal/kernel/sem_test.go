@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"emeralds/internal/costmodel"
@@ -492,6 +493,34 @@ func TestCondSignalWhileMutexHeld(t *testing.T) {
 	}
 }
 
+// TestCondSignalWithFreeMutex: a waiter signalled while its mutex is
+// free takes the mutex back at the signal and runs on at once.
+func TestCondSignalWithFreeMutex(t *testing.T) {
+	n, k := newNode(sim.Config{Policy: sim.PolicyRM, Profile: costmodel.Zero(), StandardSem: true,
+		TraceCapacity: 1 << 12})
+	m := k.NewSemaphore("m")
+	cv := k.NewCondVar("cv")
+	waiter := k.AddTask(task.Spec{Name: "waiter", Period: 40 * vtime.Millisecond, Prog: task.Program{
+		task.Acquire(m), task.CondWait(cv, m), task.Compute(vtime.Millisecond), task.Release(m)}})
+	k.AddTask(task.Spec{Name: "signaller", Period: 50 * vtime.Millisecond, Phase: 3 * vtime.Millisecond,
+		Prog: task.Program{task.CondSignal(cv)}})
+	boot(t, n)
+	k.Run(30 * vtime.Millisecond)
+	if acq := eventsOf(k, trace.SemAcquire, "waiter"); len(acq) != 2 || acq[1].At != vtime.Time(3*vtime.Millisecond) {
+		t.Errorf("waiter acquired m at %v, want at 0 and again at the 3ms signal", acq)
+	}
+	var got []vtime.Time
+	for _, e := range eventsOf(k, trace.Dispatch, "waiter") {
+		got = append(got, e.At)
+	}
+	if want := []vtime.Time{0, vtime.Time(3 * vtime.Millisecond)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("waiter dispatched at %v, want %v", got, want)
+	}
+	if waiter.TCB.Completions != 1 || waiter.TCB.MaxResp != 4*vtime.Millisecond {
+		t.Errorf("completions %d, response %v; want one job done at 4ms", waiter.TCB.Completions, waiter.TCB.MaxResp)
+	}
+}
+
 // TestCondSignalNoWaiterIsNoop.
 func TestCondSignalNoWaiterIsNoop(t *testing.T) {
 	prof := costmodel.Zero()
@@ -509,34 +538,35 @@ func TestCondSignalNoWaiterIsNoop(t *testing.T) {
 	}
 }
 
-// TestJobKilledWhileInPreAcquireQueue: clearPreAcq must remove the
-// membership when a fault kills a hinted job between its blocking call
-// and the acquire.
-func TestJobKilledWhileInPreAcquireQueue(t *testing.T) {
+// TestJobCompletingInPreAcquireQueueLeavesIt: a hand-placed hint on a
+// job's last op enrols the job in the §6.3.1 pre-acquire queue when its
+// wait ends with the semaphore free. The job then completes without
+// reaching an acquire, and completion must take it out of the queue.
+func TestJobCompletingInPreAcquireQueueLeavesIt(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
 	sem := k.NewSemaphore("S")
 	ev := k.NewEvent("E")
-	region := k.memsys.NewRegion("priv", 8) // never mapped: faults
 	wait := task.WaitEvent(ev)
 	wait.Hint = sem
-	th := k.AddTask(task.Spec{Name: "doomed", Period: 20 * vtime.Millisecond, Prog: task.Program{
-		wait,
-		task.Load(region.ID, 0, 8), // fault before reaching the acquire
-		task.Acquire(sem),
-		task.Release(sem),
-	}})
+	th := k.AddTask(task.Spec{Name: "hinted", Period: 20 * vtime.Millisecond, Prog: task.Program{wait}})
+	// Runs from 1 ms to 3 ms under an earlier deadline, so the woken
+	// job waits in the pre-acquire queue until 3 ms.
+	k.AddTask(task.Spec{Name: "busy", Period: 10 * vtime.Millisecond, Phase: vtime.Millisecond,
+		WCET: 2 * vtime.Millisecond})
 	boot(t, n)
-	k.Engine().At(vtime.Time(vtime.Millisecond), "E", func() { k.SignalEventISR(ev) })
-	k.Engine().At(vtime.Time(21*vtime.Millisecond), "E", func() { k.SignalEventISR(ev) })
-	k.Run(40 * vtime.Millisecond)
-	if k.Stats().Faults == 0 {
-		t.Fatal("no fault")
+	k.Engine().At(vtime.Time(2*vtime.Millisecond), "E", func() { k.SignalEventISR(ev) })
+	k.Run(2500 * vtime.Microsecond)
+	if s := k.sem(sem); len(s.preAcq) != 1 || s.preAcq[0] != th || th.preAcq != s {
+		t.Fatalf("woken job not in the pre-acquire queue: %v", s.preAcq)
 	}
-	if got := len(k.sem(sem).preAcq); got != 0 {
+	k.Run(2500 * vtime.Microsecond)
+	if th.TCB.Completions != 1 {
+		t.Fatalf("hinted job completed %d times, want once", th.TCB.Completions)
+	}
+	if got := len(k.sem(sem).preAcq); got != 0 || th.preAcq != nil {
 		t.Errorf("pre-acquire queue leaked %d entries", got)
 	}
-	_ = th
 }
 
 // TestAccessors: surface getters used by tools and examples.
@@ -545,9 +575,6 @@ func TestAccessors(t *testing.T) {
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true, Name: "nodeX"})
 	if k.Name() != "nodeX" || k.Profile() != prof || k.Trace() != nil {
 		t.Error("accessors wrong")
-	}
-	if k.NewProcess() <= 0 {
-		t.Error("process accessor wrong")
 	}
 	th := k.AddTask(task.Spec{Name: "a", Period: 10 * vtime.Millisecond, WCET: 5 * vtime.Millisecond})
 	if th.Name() != "a" {
@@ -627,8 +654,8 @@ func TestCSDCrossQueuePIInKernel(t *testing.T) {
 	}
 }
 
-// TestJobEndingWithHeldLockForcesRelease: unbalanced acquire/release
-// and mid-critical-section faults must not leak the mutex.
+// TestJobEndingWithHeldLockForcesRelease: a job ending with unbalanced
+// acquire/release must not leak the mutex.
 func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 	prof := costmodel.Zero()
 	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof})
@@ -653,25 +680,5 @@ func TestJobEndingWithHeldLockForcesRelease(t *testing.T) {
 	}
 	if k.semOwnerName(sem) == "buggy" {
 		t.Error("buggy still owns the mutex after job end")
-	}
-}
-
-// TestFaultInsideCriticalSectionReleasesLock.
-func TestFaultInsideCriticalSectionReleasesLock(t *testing.T) {
-	prof := costmodel.Zero()
-	n, k := newNode(sim.Config{Policy: sim.PolicyEDF, Profile: prof, StandardSem: true})
-	sem := k.NewSemaphore("m")
-	region := k.memsys.NewRegion("priv", 8) // unmapped: faults
-	k.AddTask(task.Spec{Name: "crasher", Period: 20 * vtime.Millisecond, Prog: task.Program{
-		task.Acquire(sem),
-		task.Load(region.ID, 0, 8), // dies here, holding m
-		task.Release(sem),
-	}})
-	victim := k.AddTask(task.Spec{Name: "victim", Period: 20 * vtime.Millisecond, Phase: 5 * vtime.Millisecond,
-		Prog: critProg(sem, 0, vtime.Millisecond)})
-	boot(t, n)
-	k.Run(100 * vtime.Millisecond)
-	if victim.TCB.Completions < 4 {
-		t.Errorf("victim starved after crasher's fault: %d", victim.TCB.Completions)
 	}
 }

@@ -50,11 +50,11 @@ const (
 	OpCondSignal
 	// OpCondBroadcast wakes all waiters of condition variable Obj.
 	OpCondBroadcast
-	// OpLoad reads Size bytes at offset Off of memory region Obj.
-	// A protection violation terminates the job.
-	OpLoad
-	// OpStore writes Val at offset Off of memory region Obj.
-	OpStore
+	// Kinds 12 and 13 were memory loads and stores, which are no longer
+	// modelled. Repro files store kinds by number, so the slots stay
+	// blank and the later kinds keep their numbers.
+	_
+	_
 	// OpIO performs a device operation on device Obj (driver call).
 	OpIO
 	// OpBusSend queues Size bytes to the fieldbus interface Obj.
@@ -74,16 +74,21 @@ const (
 	OpVRecv
 )
 
+var opNames = [...]string{
+	"compute", "acquire", "release", "wait", "signal",
+	"send", "recv", "state-write", "state-read",
+	"cond-wait", "cond-signal", "cond-broadcast",
+	"", "", "io", "bus-send", "delay",
+	"vsend", "vrecv",
+}
+
+// Valid reports whether k names an op, as opposed to a blank slot or a
+// number past the last kind.
+func (k OpKind) Valid() bool { return int(k) < len(opNames) && opNames[k] != "" }
+
 func (k OpKind) String() string {
-	names := [...]string{
-		"compute", "acquire", "release", "wait", "signal",
-		"send", "recv", "state-write", "state-read",
-		"cond-wait", "cond-signal", "cond-broadcast",
-		"load", "store", "io", "bus-send", "delay",
-		"vsend", "vrecv",
-	}
-	if int(k) < len(names) {
-		return names[k]
+	if k.Valid() {
+		return opNames[k]
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
@@ -95,8 +100,7 @@ type Op struct {
 	Obj  int            // object id (semaphore, event, mailbox, …)
 	Hint int            // semaphore hint for blocking ops; NoHint if none
 	Val  int64          // value for writes/sends
-	Size int            // payload size in bytes for IPC and memory ops
-	Off  int            // offset for memory ops
+	Size int            // payload size in bytes for IPC ops
 	N    int            // batch size for OpVSend; 0 means 1
 }
 
@@ -138,10 +142,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("state-write(%d, val=%d)", o.Obj, o.Val)
 	case OpCondWait:
 		return fmt.Sprintf("cond-wait(%d, mutex=%d)", o.Obj, o.Hint)
-	case OpLoad:
-		return fmt.Sprintf("load(%d, off=%d)", o.Obj, o.Off)
-	case OpStore:
-		return fmt.Sprintf("store(%d, off=%d, val=%d)", o.Obj, o.Off, o.Val)
 	case OpBusSend:
 		return fmt.Sprintf("bus-send(%d, %d bytes)", o.Obj, o.Size)
 	case OpVSend:
@@ -234,16 +234,6 @@ func CondSignal(id int) Op { return Op{Kind: OpCondSignal, Obj: id, Hint: NoHint
 
 // CondBroadcast returns an op that broadcasts condvar id.
 func CondBroadcast(id int) Op { return Op{Kind: OpCondBroadcast, Obj: id, Hint: NoHint} }
-
-// Load returns an op that reads size bytes at off in region id.
-func Load(id, off, size int) Op {
-	return Op{Kind: OpLoad, Obj: id, Off: off, Size: size, Hint: NoHint}
-}
-
-// Store returns an op that writes val at off in region id.
-func Store(id, off int, val int64) Op {
-	return Op{Kind: OpStore, Obj: id, Off: off, Val: val, Size: 8, Hint: NoHint}
-}
 
 // IO returns an op that invokes device driver id.
 func IO(id int) Op { return Op{Kind: OpIO, Obj: id, Hint: NoHint} }
