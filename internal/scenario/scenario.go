@@ -233,7 +233,8 @@ func ReadRepro(path string) (*Scenario, error) {
 // decodeRepro parses a repro. An empty list in a member that is left
 // out when empty (counting, mailboxes, vlinks, a task's arrivals)
 // decodes to nil, as the member left out reads back, so every repro
-// survives a write and a read unchanged.
+// survives a write and a read unchanged. An op kind that names no op
+// is refused here, before the kernel would panic on it.
 func decodeRepro(data []byte) (*Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -244,6 +245,11 @@ func decodeRepro(data []byte) (*Scenario, error) {
 	s.VLinks = nilIfEmpty(s.VLinks)
 	for i := range s.Tasks {
 		s.Tasks[i].Arrivals = nilIfEmpty(s.Tasks[i].Arrivals)
+		for j, op := range s.Tasks[i].Spec.Prog {
+			if !op.Kind.Valid() {
+				return nil, fmt.Errorf("task %d op %d: unknown op kind %d", i, j, op.Kind)
+			}
+		}
 	}
 	return &s, nil
 }

@@ -202,6 +202,23 @@ func TestDropUnreferenced(t *testing.T) {
 	}
 }
 
+// TestReproRefusesUnknownOpKind: kinds 12 and 13 (the retired memory
+// load and store) and kinds past OpVRecv name no op. A repro using one
+// is refused at load; run, it would panic in the kernel and read as a
+// kernel finding.
+func TestReproRefusesUnknownOpKind(t *testing.T) {
+	const repro = `{"name":"x","policy":"rm","horizon":1000,"tasks":[{"spec":{"Name":"a","Period":1000,"Prog":[{"Kind":%d,"Off":0}]}}]}`
+	for _, kind := range []int{12, 13, int(task.OpVRecv) + 1, 255} {
+		if s, err := decodeRepro([]byte(fmt.Sprintf(repro, kind))); err == nil {
+			t.Errorf("kind %d: repro loaded: %+v", kind, s.Tasks[0].Spec.Prog)
+		}
+	}
+	s, err := decodeRepro([]byte(fmt.Sprintf(repro, task.OpVRecv)))
+	if err != nil || s.Tasks[0].Spec.Prog[0].Kind != task.OpVRecv {
+		t.Fatalf("kind %d refused: %v", task.OpVRecv, err)
+	}
+}
+
 func TestReproRoundTrip(t *testing.T) {
 	s := Gen(11, 13, 0)
 	path := t.TempDir() + "/repro.json"
