@@ -163,8 +163,7 @@ func BenchmarkFigure5(b *testing.B) { benchBreakdown(b, 3) }
 // of the same small Figure 3 sweep through the shared harness. The
 // two sub-benchmarks produce bit-identical series (see
 // TestBreakdownParallelDeterminism); the ns/op ratio is the harness's
-// speedup, which approaches NumCPU on multicore hardware. The result
-// is recorded in results/harness_scaling.json.
+// speedup, which approaches NumCPU on multicore hardware.
 func BenchmarkHarnessFanout(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.ReportMetric(float64(runtime.NumCPU()), "num-cpu")
