@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"runtime"
 	"testing"
 
 	"emeralds/internal/analysis"
@@ -172,6 +173,44 @@ func TestBreakdownMonotoneInOverhead(t *testing.T) {
 	ideal := analysis.BreakdownEDF(costmodel.Zero(), specs)
 	if real >= ideal {
 		t.Errorf("charged overhead must lower breakdown: %.4f vs %.4f", real, ideal)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestBreakdownAllocationFreePerProbe: a breakdown search allocates its
+// buffers once per call and nothing per probe or per candidate. Under
+// every scheduler the Figure 3 sets at n = 10 and n = 50 must cost the
+// same count, and at most maxAllocs: a search makes about a dozen
+// probes, so one allocation per probe would exceed it.
+func TestBreakdownAllocationFreePerProbe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const maxAllocs = 10
+	p := costmodel.M68040()
+	for _, s := range []struct {
+		name      string
+		breakdown func([]task.Spec) float64
+	}{
+		{"EDF", func(specs []task.Spec) float64 { return analysis.BreakdownEDF(p, specs) }},
+		{"RM", func(specs []task.Spec) float64 { return analysis.BreakdownRM(p, specs) }},
+		{"CSD-2", func(specs []task.Spec) float64 { return analysis.BreakdownCSD(p, specs, 2) }},
+		{"CSD-3", func(specs []task.Spec) float64 { return analysis.BreakdownCSD(p, specs, 3) }},
+		{"CSD-4", func(specs []task.Spec) float64 { return analysis.BreakdownCSD(p, specs, 4) }},
+	} {
+		allocs := func(n int) float64 {
+			specs := workload.Generate(workload.Config{N: n, Utilization: 0.5, Seed: workload.SeedFor(1, n, 0)})
+			runtime.GC()
+			return testing.AllocsPerRun(3, func() { s.breakdown(specs) })
+		}
+		small, large := allocs(10), allocs(50)
+		if small != large || large > maxAllocs {
+			t.Errorf("%s: %v allocations per breakdown at n = 10, %v at n = 50; want equal and at most %d",
+				s.name, small, large, maxAllocs)
+		}
+		t.Logf("%s: %v allocations per breakdown", s.name, large)
 	}
 }
 

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"slices"
+
 	"emeralds/internal/costmodel"
 	"emeralds/internal/task"
+	"emeralds/internal/vtime"
 )
 
 // This file implements the breakdown-utilization experiment of §5.7:
@@ -20,6 +23,9 @@ const breakdownPrecision = 1e-3
 // workload utilization Σ cᵢ/Pᵢ at the feasibility boundary for the
 // given feasibility predicate. Returns 0 when even the unscaled-to-zero
 // workload is infeasible (run-time overhead alone saturates the CPU).
+//
+// Every probe rescales the WCETs of one slice in place, so the
+// predicate must neither keep nor modify the slice it is given.
 func Breakdown(specs []task.Spec, feasible func(scaled []task.Spec) bool) float64 {
 	return bisect(specs, func(_ float64, scaled []task.Spec) bool { return feasible(scaled) })
 }
@@ -31,19 +37,26 @@ func bisect(specs []task.Spec, feasible func(f float64, scaled []task.Spec) bool
 	if base <= 0 {
 		return 0
 	}
+	scaled := slices.Clone(specs)
+	probe := func(f float64) bool {
+		for i := range specs {
+			scaled[i].WCET = vtime.Scale(specs[i].WCET, f)
+		}
+		return feasible(f, scaled)
+	}
 	// Upper bound: U = 1.05 is infeasible under every policy once
 	// overhead is charged; double until infeasible to be safe.
 	hi := 1.05 / base
-	for i := 0; i < 10 && feasible(hi, task.Scale(specs, hi)); i++ {
+	for i := 0; i < 10 && probe(hi); i++ {
 		hi *= 2
 	}
 	lo := 0.0
-	if !feasible(lo, task.Scale(specs, lo)) {
+	if !probe(lo) {
 		return 0
 	}
 	for hi-lo > breakdownPrecision*hi {
 		mid := (lo + hi) / 2
-		if feasible(mid, task.Scale(specs, mid)) {
+		if probe(mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -52,14 +65,37 @@ func bisect(specs []task.Spec, feasible func(f float64, scaled []task.Spec) bool
 	return base * lo
 }
 
-// BreakdownEDF returns the breakdown utilization under EDF.
+// BreakdownEDF returns the breakdown utilization under EDF: Breakdown
+// over FeasibleEDF, with the tasks inflated once and only their WCETs
+// rewritten at each probe.
 func BreakdownEDF(p *costmodel.Profile, specs []task.Spec) float64 {
-	return Breakdown(specs, func(s []task.Spec) bool { return FeasibleEDF(p, s) })
+	t := EDFOverheads(p, len(specs)).PerPeriod()
+	ts := inflate(specs, func(int) vtime.Duration { return t })
+	return bisect(specs, func(_ float64, scaled []task.Spec) bool {
+		for i := range ts {
+			ts[i].wcet = scaled[i].WCET + t
+		}
+		return edfFeasible(ts)
+	})
 }
 
-// BreakdownRM returns the breakdown utilization under RM.
+// BreakdownRM returns the breakdown utilization under RM: Breakdown
+// over FeasibleRM, with the RM order computed once and the inflated
+// tasks rewritten in that order at each probe. The base utilization
+// still sums in input order, as Breakdown's does.
 func BreakdownRM(p *costmodel.Profile, specs []task.Spec) float64 {
-	return Breakdown(specs, func(s []task.Spec) bool { return FeasibleRM(p, s) })
+	t := RMOverheads(p, len(specs)).PerPeriod()
+	order := rmOrder(specs)
+	ts := make([]inflated, len(specs))
+	for i, j := range order {
+		ts[i] = inflated{period: specs[j].Period, deadline: specs[j].RelDeadline()}
+	}
+	return bisect(specs, func(_ float64, scaled []task.Spec) bool {
+		for i, j := range order {
+			ts[i].wcet = scaled[j].WCET + t
+		}
+		return rmFeasible(ts)
+	})
 }
 
 // BreakdownCSD returns the breakdown utilization under CSD-numQueues,

@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"emeralds/internal/costmodel"
@@ -21,9 +22,20 @@ const maxCheckpoints = 200000
 // order), ties broken by original index for determinism.
 func SortRM(specs []task.Spec) []task.Spec {
 	out := make([]task.Spec, len(specs))
-	copy(out, specs)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Period < out[j].Period })
+	for i, j := range rmOrder(specs) {
+		out[i] = specs[j]
+	}
 	return out
+}
+
+// rmOrder returns the permutation SortRM applies: out[i] = specs[rmOrder[i]].
+func rmOrder(specs []task.Spec) []int {
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(specs[a].Period, specs[b].Period) })
+	return order
 }
 
 // inflated is a task with its WCET inflated by scheduler overhead.
@@ -59,17 +71,13 @@ func utilization(ts []inflated) float64 {
 // matters). Deadlines shorter than periods fall back to the
 // processor-demand test.
 func FeasibleEDF(p *costmodel.Profile, specs []task.Spec) bool {
-	n := len(specs)
-	t := EDFOverheads(p, n).PerPeriod()
-	ts := inflate(specs, func(int) vtime.Duration { return t })
-	implicit := true
-	for _, s := range specs {
-		if s.RelDeadline() < s.Period {
-			implicit = false
-			break
-		}
-	}
-	if implicit {
+	t := EDFOverheads(p, len(specs)).PerPeriod()
+	return edfFeasible(inflate(specs, func(int) vtime.Duration { return t }))
+}
+
+// edfFeasible is FeasibleEDF's test of the inflated tasks.
+func edfFeasible(ts []inflated) bool {
+	if implicitDeadlines(ts) {
 		return utilization(ts) <= 1.0
 	}
 	return edfDemandFeasible(ts, nil) == verdictFeasible
@@ -195,7 +203,7 @@ func csdVerdict(p *costmodel.Profile, rmSorted []task.Spec, part sched.Partition
 	bufs.sizes, bufs.starts, bufs.perQueue, bufs.ts = sizes, starts, perQueue, ts
 	for k := range sizes {
 		for i := starts[k]; i < starts[k+1]; i++ {
-			s := rmSorted[i]
+			s := &rmSorted[i]
 			ts[i] = inflated{
 				period:   s.Period,
 				deadline: s.RelDeadline(),
@@ -237,6 +245,10 @@ func csdVerdict(p *costmodel.Profile, rmSorted []task.Spec, part sched.Partition
 	//     as a running sum advanced past thresholds — the iterates are
 	//     computed bit-for-bit as before, with adds and compares in
 	//     place of a division per term per iteration.
+	//   - merged equal periods: tasks arrive in RM order, so equal
+	//     periods are adjacent and share every threshold; they are kept
+	//     as one term whose c is their WCET sum, which gives the same
+	//     integer sum with fewer terms to advance.
 	higher := ts[:starts[numDP]]
 	fp := ts[starts[numDP]:]
 	if len(fp) > 0 {
@@ -279,6 +291,9 @@ func csdFPFeasible(bufs *csdBufs, higher, fp []inflated) verdict {
 		// Activate this task's newly visible interferers at the current
 		// candidate r: one seed division each, increments afterwards.
 		// Non-positive periods contribute nothing, exactly like ceilDiv.
+		// interf counts each term at thr/p periods, so a newcomer whose
+		// period equals the last term's joins it there; the scan below
+		// then advances both together.
 		newcomers := higher
 		if i > 0 {
 			newcomers = fp[i-1 : i]
@@ -286,6 +301,11 @@ func csdFPFeasible(bufs *csdBufs, higher, fp []inflated) verdict {
 		for _, t := range newcomers {
 			p, c := int64(t.period), int64(t.wcet)
 			if p <= 0 {
+				continue
+			}
+			if last := len(terms) - 1; last >= 0 && terms[last].p == p {
+				interf += terms[last].thr / p * c
+				terms[last].c += c
 				continue
 			}
 			k := ceilDiv(r, p)
@@ -466,6 +486,8 @@ func edfDemandFeasible(own, higher []inflated) verdict {
 	l := int64(sumC)
 	busy := bufs.busy[:0]
 	var busyW int64 // Σ ⌈l/Pᵢ⌉·cᵢ at the current l
+	// higher before own: in a CSD queue the two are adjacent runs of the
+	// RM order, so equal periods arrive together and merge into one term.
 	seed := func(ts []inflated) {
 		for _, t := range ts {
 			p, c := int64(t.period), int64(t.wcet)
@@ -474,11 +496,15 @@ func edfDemandFeasible(own, higher []inflated) verdict {
 			}
 			k := ceilDiv(l, p)
 			busyW += k * c
+			if last := len(busy) - 1; last >= 0 && busy[last].p == p {
+				busy[last].c += c
+				continue
+			}
 			busy = append(busy, ceilTerm{p, c, k * p})
 		}
 	}
-	seed(own)
 	seed(higher)
+	seed(own)
 	bufs.busy = busy
 	for iter := 0; iter < 1000; iter++ {
 		if busyW == l {
@@ -559,8 +585,13 @@ func edfDemandFeasible(own, higher []inflated) verdict {
 		siftDown(streams, i)
 	}
 
+	// The interference terms, equal periods merged as in the busy period.
 	hp, hc := bufs.hp[:0], bufs.hc[:0]
 	for _, h := range higher {
+		if last := len(hp) - 1; last >= 0 && hp[last] == int64(h.period) {
+			hc[last] += int64(h.wcet)
+			continue
+		}
 		hp = append(hp, int64(h.period))
 		hc = append(hc, int64(h.wcet))
 	}

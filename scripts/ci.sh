@@ -96,7 +96,7 @@ echo "== breakdown figure regression (Figures 3-5 vs results/) =="
 # The breakdown percentages are pinned exactly: regenerate Figures 3-5
 # at the committed 100 workloads/point and compare the artifacts, less
 # their volatile "run" block, and the printed tables with results/
-# (about a minute on 2 CPUs).
+# (about 30 s on 2 CPUs).
 for div in 1 2 3; do
     fig="figure$((div + 2))"
     go run ./cmd/breakdown -div "$div" -workloads 100 -quiet -json-out "$tmp/$fig.json" >"$tmp/$fig.txt"
@@ -188,8 +188,10 @@ echo "== allocation smoke gate =="
 # untraced 30-task emsim run under all five policies after warm-up,
 # trace recording into a full ring, the Perfetto export, whose
 # allocations must not grow with the event count, a telemetry tick into
-# a full ring, and the attribution replay, which allocates fewer than
-# once per 50 events.
+# a full ring, the attribution replay, which allocates fewer than
+# once per 50 events, and the breakdown searches, which allocate a
+# fixed handful of times per call and never per probe. The race run
+# above skips the last: the race detector makes sync.Pool drop buffers.
 # Two byte gates ride along (AllocationBytes): recording into the trace
 # ring allocates only the 32 kB blocks it fills and their table, and the
 # attribution replay of the emsim trace allocates under 200 bytes per
@@ -198,6 +200,6 @@ echo "== allocation smoke gate =="
 # can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree|AllocationBytes' \
     ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ ./internal/kernel/ \
-    ./internal/trace/ ./internal/telemetry/ ./internal/attrib/
+    ./internal/trace/ ./internal/telemetry/ ./internal/attrib/ ./internal/analysis/
 
 echo "ci: all green"
